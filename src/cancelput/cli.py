@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
 
 from .diagnostics import analytic_suite, mc_suite
@@ -26,7 +26,10 @@ _EXIT_IO = 3
 
 _MODEL_KEYS = ("r", "sigma2", "sigma", "lambda", "rho")
 _CONTRACT_KEYS = ("strike", "barrier", "spot")
-_MC_KEYS = ("paths", "dt", "horizon", "seed", "bridge", "mode", "workers")
+_MC_KEYS = ("paths", "horizon", "seed", "mode", "workers")
+
+#: Most points a threshold grid search may have.
+_GRID_MAX_POINTS = 100_000
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -58,15 +61,6 @@ def _merged(args: argparse.Namespace, key: str, cast, file_values: dict[str, str
         except ValueError as exc:
             raise ConfigError(f"config key {key}={raw!r}: {exc}") from None
     return None
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _build_model_contract(args: argparse.Namespace):
@@ -108,10 +102,8 @@ def _build_model_contract(args: argparse.Namespace):
 
 def _build_mc_config(args: argparse.Namespace, file_values: dict[str, str]) -> McConfig:
     paths = _merged(args, "paths", int, file_values)
-    dt = _merged(args, "dt", float, file_values)
     horizon = _merged(args, "horizon", float, file_values)
     seed = _merged(args, "seed", int, file_values)
-    bridge = _merged(args, "bridge", _parse_bool, file_values)
     mode = _merged(args, "mode", str, file_values)
     if seed is None:
         raise ConfigError("randomized commands require an explicit --seed")
@@ -119,10 +111,8 @@ def _build_mc_config(args: argparse.Namespace, file_values: dict[str, str]) -> M
         raise ConfigError(f"mode must be 'survival' or 'direct', got {mode!r}")
     return McConfig(
         n_paths=paths if paths is not None else 10_000,
-        dt=dt if dt is not None else 1e-3,
         horizon=horizon if horizon is not None else 200.0,
         seed=seed,
-        bridge_correction=bridge if bridge is not None else True,
         mode=McMode.DIRECT_LAST_PASSAGE if mode == "direct" else McMode.SURVIVAL_WEIGHTED,
     )
 
@@ -199,8 +189,17 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     step = args.grid_step if args.grid_step is not None else 0.01 * k
     lo = args.grid_min if args.grid_min is not None else step
     hi = args.grid_max if args.grid_max is not None else k - step
-    count = int((hi - lo) / step + 1e-9) + 1
-    grid = [lo + i * step for i in range(max(count, 1))]
+    if not (step > 0.0):
+        raise ConfigError(f"grid step must be positive, got {step}")
+    if not (lo <= hi):
+        raise ConfigError(f"need grid min <= grid max, got {lo} and {hi}")
+    span = (hi - lo) / step + 1e-9
+    if not (span < _GRID_MAX_POINTS):
+        raise ConfigError(
+            f"grid from {lo} to {hi} by {step} exceeds {_GRID_MAX_POINTS} points"
+        )
+    count = int(span) + 1
+    grid = [lo + i * step for i in range(count)]
     if args.mc:
         cfg = _build_mc_config(args, file_values)
         a_hat, _values = grid_search_threshold(
@@ -209,7 +208,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         )
         method = "grid-mc"
     else:
-        cfg = McConfig(n_paths=100, dt=0.01, horizon=200.0, seed=0)  # unused
+        cfg = McConfig(n_paths=100, horizon=200.0, seed=0)  # unused
         a_hat, _values = grid_search_threshold(model, contract, cfg, grid)
         method = "grid-closed-form"
     _emit(
@@ -309,13 +308,8 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths", type=int, help="number of simulated paths")
-    p.add_argument("--dt", type=float, help="Euler step between jumps")
     p.add_argument("--horizon", type=float, help="truncation time")
     p.add_argument("--seed", type=int, help="stream seed (required)")
-    p.add_argument("--bridge", dest="bridge", action="store_true", default=None,
-                   help="enable the Brownian-bridge crossing correction (default)")
-    p.add_argument("--no-bridge", dest="bridge", action="store_false", default=None,
-                   help="grid-only crossing detection")
     p.add_argument("--mode", choices=("survival", "direct"),
                    help="survival-weighted payoff or direct last-passage indicator")
     p.add_argument("--workers", type=int, default=None, help="parallel worker processes")
@@ -365,8 +359,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves no state on it."""
+    return _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CancelPutError as exc:

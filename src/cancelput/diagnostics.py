@@ -3,7 +3,7 @@
 Each check returns a record rather than asserting, so the CLI can print a
 table and exit nonzero only at the end.  Tolerances are the ones the
 closed forms are actually built to meet; the Monte Carlo comparisons use
-3-sigma bands plus explicit bias budgets for grid effects.
+3-sigma bands, with small relative floors where the band is a sanity check.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .model import ModelParams, laplace_exponent, _psi_rational
 from .pricer import (
@@ -34,8 +33,6 @@ from .mc import (
     collect_traces,
     estimate_discounted_terminal,
     estimate_value,
-    _run_all_paths,
-    _K_NONE,
 )
 
 
@@ -72,6 +69,8 @@ def _central_derivative(f, s: float) -> float:
 
 def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
     """Closed-form identity checks for one parameter set."""
+    from scipy import integrate  # only this suite needs it; keeps the import light
+
     b = basis_for(m)
     out: list[CheckResult] = []
 
@@ -305,26 +304,6 @@ def mc_suite(
             abs(term.mean - c.spot),
             3.0 * term.stderr,
             f"mc {term.mean:.4f} vs spot {c.spot:.4f}",
-        )
-    )
-
-    # Bridge bias ordering under common random numbers: turning the bridge
-    # on can only make detected passage times earlier.
-    small = replace(cfg, n_paths=max(100, cfg.n_paths // 4))
-    taus_on, _, kinds_on, _ = _run_all_paths(
-        m, c, a_star, replace(small, bridge_correction=True), False, workers
-    )
-    taus_off, _, kinds_off, _ = _run_all_paths(
-        m, c, a_star, replace(small, bridge_correction=False), False, workers
-    )
-    mean_on = float(np.mean(np.where(kinds_on != _K_NONE, np.nan_to_num(taus_on), cfg.horizon)))
-    mean_off = float(np.mean(np.where(kinds_off != _K_NONE, np.nan_to_num(taus_off), cfg.horizon)))
-    out.append(
-        _check(
-            "bridge detects crossings earlier",
-            mean_on - mean_off,
-            1e-12,
-            f"mean passage {mean_on:.4f} (on) vs {mean_off:.4f} (off)",
         )
     )
 

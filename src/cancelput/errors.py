@@ -31,6 +31,10 @@ class ThresholdOutOfRange(CancelPutError):
     """Optimal exercise threshold fell outside the open interval (0, K)."""
 
 
+class InconsistentBasis(CancelPutError):
+    """Scale-basis coefficients break the sign conditions the closed-form threshold needs."""
+
+
 class BranchError(CancelPutError):
     """Requested branch does not match the model's jump intensity."""
 

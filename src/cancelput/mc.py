@@ -1,17 +1,18 @@
 """Monte Carlo oracle for threshold stopping policies.
 
-Paths are simulated in log space.  Jump epochs (exponential inter-arrival
-times) and jump sizes are drawn exactly; only the Brownian segments between
-jumps are Euler-discretized on a fixed grid, optionally with a
-Brownian-bridge correction for crossings hidden inside a grid step.  The
-jump-related quantities -- in particular the undershoot below the threshold
--- therefore carry no discretization bias at all.
+Paths are simulated exactly in log space, one jump epoch at a time, with
+no time grid (Metwally & Atiya 2002).  Jump gaps and sizes are
+exponential; each Brownian segment between jumps draws its endpoint, then
+whether its bridge crept through the threshold, then when.  One kernel
+serves every estimator, moving all active paths of a chunk forward a
+block of jump epochs per numpy step.
 
-Randomness is counter-based: every (seed, path_index, purpose) triple maps
-to its own Philox stream, so a path's draws never depend on how paths are
-batched across worker processes.  Estimates are assembled into full arrays
-indexed by path and reduced with numpy's pairwise summation, making results
-bit-identical for any worker count.
+Randomness is counter-based: every random word is Philox4x32-10 (Salmon
+et al., SC'11) of the counter (event, purpose, path) under the 64-bit seed
+as key.  A path's numbers therefore do not depend on chunking, the worker
+count, or how many events one step draws, and any path replays alone.
+Estimates are reduced from full per-path arrays with numpy's pairwise
+summation, so they are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,16 +30,23 @@ from .pricer import Contract
 from .scale import basis_for
 from . import pricer
 
-_BLOCK = 8192
-_TINY = 1e-12
+#: Path-events per kernel step; bounds every temporary array.
+_CAP = 1 << 12
+#: Events drawn per path in a chunk's first step; doubles every step.
+_FIRST_EVENTS = 16
 
-# Stream purposes: one generator per (seed, path, purpose).
-_P_NORMAL, _P_GAP, _P_SIZE, _P_BRIDGE = 0, 1, 2, 3
+# Counter purposes: each yields two uniforms per (event, path).
+_P_NORMAL, _P_CROSS, _P_JUMP, _P_RETURN = 0, 1, 2, 3
 
 # Crossing kinds recorded per path.
 _K_NONE, _K_CREEP, _K_JUMP = 0, 1, 2
 
 _CROSSING_LABEL = {_K_NONE: "none", _K_CREEP: "creep", _K_JUMP: "jump"}
+
+_PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 class McMode(enum.Enum):
@@ -52,19 +60,15 @@ class McConfig:
     which is checked by the estimators (the rate lives on the model)."""
 
     n_paths: int
-    dt: float
     horizon: float
     seed: int
-    bridge_correction: bool = True
     mode: McMode = McMode.SURVIVAL_WEIGHTED
 
     def __post_init__(self) -> None:
         if self.n_paths < 100:
             raise ConfigError(f"need at least 100 paths, got {self.n_paths}")
-        if not (0.0 < self.dt <= 0.01):
-            raise ConfigError(f"dt must be in (0, 0.01], got {self.dt}")
-        if not (self.horizon > 0.0):
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        if not (0.0 < self.horizon < math.inf):
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -86,222 +90,224 @@ class PathTrace:
     crossing: str
 
 
-def _stream(seed: int, path_index: int, purpose: int) -> np.random.Generator:
-    key = np.array([seed, path_index], dtype=np.uint64)
-    counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+def _philox4x32(counter, key: tuple[int, int]):
+    """Philox4x32-10 of four 32-bit counter words under two 32-bit key words.
 
-
-def _walk_path(
-    mu: float,
-    sigma2: float,
-    lam: float,
-    rho: float,
-    b_log: float,
-    h_log: float,
-    dt: float,
-    horizon: float,
-    seed: int,
-    path_index: int,
-    bridge: bool,
-    need_h: bool,
-) -> tuple[float, float, int, bool]:
-    """Simulate one path started at x = 0 until it first reaches b_log.
-
-    Returns (tau, x_tau, kind, hit_h).  kind is _K_NONE when the horizon
-    arrives first (tau/x_tau are then NaN).  A diffusive crossing records
-    x_tau = b_log exactly (grid detection or bridge trigger, both resolved
-    at the end of the step); a jump crossing records the exact landing
-    point.  With ``need_h`` the walk keeps going after tau and reports
-    whether any later skeleton point sits at or above h_log.
+    Counter words may be arrays; they broadcast together.  Returns the four
+    output words as uint64 arrays holding 32-bit values.
     """
-    sig = math.sqrt(sigma2)
-    norm_gen = _stream(seed, path_index, _P_NORMAL)
-    gap_gen = _stream(seed, path_index, _P_GAP) if lam > 0.0 else None
-    size_gen = _stream(seed, path_index, _P_SIZE) if lam > 0.0 else None
-    unif_gen = _stream(seed, path_index, _P_BRIDGE) if bridge else None
-
-    x = 0.0
-    t = 0.0
-    tau = math.nan
-    x_tau = math.nan
-    kind = _K_NONE
-    hit_h = False
-    seeking_a = True
-
-    if b_log >= 0.0:  # started at or below the threshold
-        if not need_h:
-            return 0.0, b_log, _K_CREEP, False
-        tau, x_tau, kind = 0.0, b_log, _K_CREEP
-        seeking_a = False
-
-    def scan(xs: np.ndarray, x_prev: float, step: float) -> tuple[int, bool]:
-        """First crossing index in a block of equal steps, or (-1, False)."""
-        nonlocal hit_h
-        k = xs.shape[0]
-        if seeking_a:
-            grid_hits = xs <= b_log
-            gi = int(np.argmax(grid_hits)) if grid_hits.any() else -1
-            bi = -1
-            if unif_gen is not None:
-                u = unif_gen.random(k)
-                left = np.empty(k)
-                left[0] = x_prev
-                left[1:] = xs[:-1]
-                lim = k if gi < 0 else gi
-                if lim > 0:
-                    p = np.exp(
-                        -2.0 * (left[:lim] - b_log) * (xs[:lim] - b_log)
-                        / (sigma2 * step)
-                    )
-                    trig = u[:lim] < p
-                    if trig.any():
-                        bi = int(np.argmax(trig))
-            if gi >= 0 and (bi < 0 or gi < bi):
-                return gi, False
-            if bi >= 0:
-                return bi, True
-            return -1, False
-        above = xs >= h_log
-        if above.any():
-            hit_h = True
-            return int(np.argmax(above)), False
-        return -1, False
-
-    sqrt_dt = math.sqrt(dt)
-    while t < horizon - 1e-9:
-        if gap_gen is not None:
-            gap = max(gap_gen.exponential(1.0 / lam), 1e-15)
-        else:
-            gap = math.inf
-        jump_fires = gap <= horizon - t - _TINY
-        seg = min(gap, horizon - t)
-
-        nfull = int(seg / dt + _TINY)
-        rem = max(0.0, seg - nfull * dt)
-        if rem < _TINY * max(dt, 1.0):
-            rem = 0.0
-
-        done = 0
-        while done < nfull:
-            k = min(_BLOCK, nfull - done)
-            z = norm_gen.standard_normal(k)
-            xs = x + np.cumsum(mu * dt + sig * sqrt_dt * z)
-            idx, _via_bridge = scan(xs, x, dt)
-            if idx >= 0:
-                if seeking_a:
-                    tau, x_tau, kind = t + (done + idx + 1) * dt, b_log, _K_CREEP
-                    if not need_h:
-                        return tau, x_tau, kind, hit_h
-                    seeking_a = False
-                    if bool(np.any(xs[idx:] >= h_log)):
-                        hit_h = True
-                        return tau, x_tau, kind, hit_h
-                else:
-                    return tau, x_tau, kind, hit_h
-            x = float(xs[-1])
-            done += k
-
-        if rem > 0.0:
-            z1 = norm_gen.standard_normal()
-            x_new = x + mu * rem + sig * math.sqrt(rem) * z1
-            if seeking_a:
-                crossed = x_new <= b_log
-                if not crossed and unif_gen is not None:
-                    p = math.exp(
-                        -2.0 * (x - b_log) * (x_new - b_log) / (sigma2 * rem)
-                    )
-                    crossed = unif_gen.random() < p
-                if crossed:
-                    tau, x_tau, kind = t + seg, b_log, _K_CREEP
-                    if not need_h:
-                        return tau, x_tau, kind, hit_h
-                    seeking_a = False
-            elif x_new >= h_log:
-                hit_h = True
-                return tau, x_tau, kind, hit_h
-            x = x_new
-
-        t += seg
-
-        if jump_fires:
-            x -= size_gen.exponential(1.0 / rho)
-            if seeking_a and x <= b_log:
-                tau, x_tau, kind = t, x, _K_JUMP
-                if not need_h:
-                    return tau, x_tau, kind, hit_h
-                seeking_a = False
-            elif not seeking_a and x >= h_log:
-                hit_h = True
-                return tau, x_tau, kind, hit_h
-
-    return tau, x_tau, kind, hit_h
-
-
-def _paths_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Worker entry: simulate paths [lo, hi) and return per-path records."""
-    m, c, a, cfg, need_h, lo, hi = args
-    n = hi - lo
-    taus = np.full(n, np.nan)
-    stys = np.full(n, np.nan)
-    kinds = np.zeros(n, dtype=np.int8)
-    hits = np.zeros(n, dtype=bool)
-    b_log = math.log(a / c.spot)
-    h_log = math.log(c.barrier / c.spot)
-    for i in range(n):
-        tau, x_tau, kind, hit = _walk_path(
-            m.mu, m.sigma2, m.lam, m.rho, b_log, h_log, cfg.dt, cfg.horizon,
-            cfg.seed, lo + i, cfg.bridge_correction, need_h,
+    c0, c1, c2, c3 = (np.asarray(w, dtype=np.uint64) for w in counter)
+    k0, k1 = key
+    for _ in range(10):
+        p0 = _PHILOX_M0 * c0
+        p1 = _PHILOX_M1 * c2
+        c0, c1, c2, c3 = (
+            (p1 >> _SHIFT32) ^ c1 ^ np.uint64(k0),
+            p1 & _LO32,
+            (p0 >> _SHIFT32) ^ c3 ^ np.uint64(k1),
+            p0 & _LO32,
         )
-        kinds[i] = kind
-        hits[i] = hit
-        if kind != _K_NONE:
-            taus[i] = tau
-            stys[i] = a if kind == _K_CREEP else c.spot * math.exp(x_tau)
-    return taus, stys, kinds, hits
+        k0 = (k0 + _PHILOX_W0) & 0xFFFFFFFF
+        k1 = (k1 + _PHILOX_W1) & 0xFFFFFFFF
+    return c0, c1, c2, c3
 
 
-def _terminal_chunk(args) -> np.ndarray:
-    """Worker entry: exact-law samples of X at a fixed time for paths [lo, hi)."""
-    m, t_end, seed, lo, hi = args
-    xs = np.empty(hi - lo)
+def _unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Uniforms strictly inside (0, 1) from two 32-bit words each: 52 bits,
+    centred in their cell, so neither 0 nor 1 can occur."""
+    return (((hi << np.uint64(20)) | (lo >> np.uint64(12))) + 0.5) * 2.0**-52
+
+
+def _uniforms(
+    seed: int, purposes: list[int], event: int, n_events: int, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two uniform arrays shaped (purpose, path, event): each counter's four
+    words make two uniforms."""
+    events = np.arange(event, event + n_events, dtype=np.uint64)
+    w0, w1, w2, w3 = _philox4x32(
+        (
+            events[None, None, :],
+            np.array(purposes, dtype=np.uint64)[:, None, None],
+            (ids & _LO32)[None, :, None],
+            (ids >> _SHIFT32)[None, :, None],
+        ),
+        (seed & 0xFFFFFFFF, seed >> 32),
+    )
+    return _unit(w0, w1), _unit(w2, w3)
+
+
+def _bridge_touch(d1, d2, seg, sigma2: float):
+    """Probability that a Brownian bridge over time ``seg`` touches a level
+    it starts d1 > 0 away from and ends d2 away from (same sign: same side).
+    An endpoint at or past the level gives 1."""
+    return np.exp(np.minimum(-2.0 * d1 * d2 / (sigma2 * seg), 0.0))
+
+
+def _crossing_time(
+    d1: np.ndarray, d2: np.ndarray, seg: np.ndarray, z: np.ndarray, u: np.ndarray,
+    sigma2: float,
+) -> np.ndarray:
+    """Time into a segment at which its bridge first touches the threshold.
+
+    The bridge starts d1 > 0 above the threshold and ends d2 from it (either
+    side) after ``seg``; given that it touches, s = seg v/(1+v) with
+    v ~ IG(d1/|d2|, d1^2/(sigma2 seg)), sampled by Michael, Schucany & Haas
+    from the normal ``z`` and the uniform ``u``.  Written in theta = |d2|/d1
+    so that d2 = 0 (the Levy limit) needs no special case.
+    """
+    theta = np.abs(d2) / d1
+    p = z * z * sigma2 * seg / (2.0 * d1 * d1)
+    w = theta + p + np.sqrt(p * (p + 2.0 * theta))  # 1/v for the smaller root
+    return np.where(u * (w + theta) <= w, seg / (1.0 + w), seg * w / (w + theta * theta))
+
+
+def _simulate(
+    m: ModelParams, b: float, h: float, horizon: float, seed: int,
+    lo: int, hi: int, direct: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate paths [lo, hi), each started at x = 0, to their stopping time.
+
+    A path stops at its first passage to or below ``b`` (b < 0), or at
+    ``horizon``.  Returns per-path arrays (tau, x, kind, hit): tau is NaN
+    and kind _K_NONE when the horizon comes first, and x is then the
+    position at the horizon; a creep records x = b exactly, a jump its
+    landing point.  With ``direct`` each stopped path goes on to the
+    horizon and ``hit`` says whether it returned to ``h`` or above after
+    stopping.  With b = -inf no path stops and x samples X_horizon.
+    """
+    jumps = m.lam > 0.0
+    purposes = [_P_NORMAL, _P_CROSS] + [_P_JUMP] * jumps + [_P_RETURN] * direct
+    slot = {p: i for i, p in enumerate(purposes)}
     sig = math.sqrt(m.sigma2)
-    for i in range(hi - lo):
-        norm_gen = _stream(seed, lo + i, _P_NORMAL)
-        x = m.mu * t_end + sig * math.sqrt(t_end) * norm_gen.standard_normal()
-        if m.lam > 0.0:
-            gap_gen = _stream(seed, lo + i, _P_GAP)
-            size_gen = _stream(seed, lo + i, _P_SIZE)
-            t = gap_gen.exponential(1.0 / m.lam)
-            while t <= t_end:
-                x -= size_gen.exponential(1.0 / m.rho)
-                t += gap_gen.exponential(1.0 / m.lam)
-        xs[i] = x
-    return xs
+    n = hi - lo
+    tau = np.full(n, np.nan)
+    x_stop = np.zeros(n)
+    kind = np.zeros(n, dtype=np.int8)
+    hit = np.zeros(n, dtype=bool)
+
+    for first in range(lo, hi, _CAP):
+        ids = np.arange(first, min(first + _CAP, hi), dtype=np.uint64)
+        t = np.zeros(ids.size)
+        x = np.zeros(ids.size)
+        after = np.zeros(ids.size, dtype=bool)  # stopped; watching for h (direct)
+        event, grow = 0, _FIRST_EVENTS
+        while ids.size:
+            k = ids.size
+            e = max(1, min(grow, _CAP // k)) if jumps else 1  # no jump: one segment
+            ua, ub = _uniforms(seed, purposes, event, e, ids)
+            pos = (ids - np.uint64(lo)).astype(np.intp)
+
+            # Segment clocks and endpoints, accumulated in event order so the
+            # values never depend on e.
+            if jumps:
+                gap = -np.log(ua[slot[_P_JUMP]]) / m.lam
+                shift = np.log(ub[slot[_P_JUMP]]) / m.rho  # the (negative) jump
+            else:
+                gap = np.full((k, e), np.inf)
+                shift = np.zeros((k, e))
+            clock = np.cumsum(np.concatenate((t[:, None], gap), axis=1), axis=1)
+            t0 = clock[:, :-1]
+            left = horizon - t0
+            fires = gap < left
+            alive = np.logical_and.accumulate(
+                np.concatenate((np.ones((k, 1), dtype=bool), fires[:, :-1]), axis=1), axis=1
+            )
+            seg = np.where(alive, np.minimum(gap, left), np.nan)
+            radius = np.sqrt(-2.0 * np.log(ua[slot[_P_NORMAL]]))
+            angle = (2.0 * math.pi) * ub[slot[_P_NORMAL]]
+            walk = np.empty((k, 2 * e + 1))
+            walk[:, 0] = x
+            walk[:, 1::2] = m.mu * seg + sig * np.sqrt(seg) * (radius * np.cos(angle))
+            walk[:, 2::2] = shift
+            walk = np.cumsum(walk, axis=1)
+            x0, x1, xj = walk[:, :-1:2], walk[:, 1::2], walk[:, 2::2]
+            ended = alive & ~fires  # the segment ran to the horizon
+            reached = ended.any(axis=1)
+
+            # First passage to b: a creep inside a segment, else a jump below.
+            d1, d2 = x0 - b, x1 - b
+            creep = ua[slot[_P_CROSS]] < _bridge_touch(d1, d2, seg, m.sigma2)
+            crossed = alive & (creep | (fires & (xj <= b))) & ~after[:, None]
+            stops = crossed.any(axis=1)
+            ks = crossed.argmax(axis=1)
+            cr = np.flatnonzero(stops & creep[np.arange(k), ks])
+            kc = ks[cr]
+            s = _crossing_time(
+                d1[cr, kc], d2[cr, kc], seg[cr, kc],
+                radius[cr, kc] * np.sin(angle[cr, kc]), ub[slot[_P_CROSS]][cr, kc],
+                m.sigma2,
+            )
+            tau[pos[stops]] = clock[stops, ks[stops] + 1]
+            x_stop[pos[stops]] = xj[stops, ks[stops]]
+            kind[pos[stops]] = _K_JUMP
+            tau[pos[cr]] = t0[cr, kc] + s
+            x_stop[pos[cr]] = b
+            kind[pos[cr]] = _K_CREEP
+            lost = ~stops & ~after & reached
+            x_stop[pos[lost]] = x1[lost, ended[lost].argmax(axis=1)]
+
+            if direct:
+                # Return to h after the stop: the rest of a crept segment is a
+                # bridge from b to its endpoint; later segments are whole.
+                watch = after | stops
+                start = np.where(after, -1, ks)
+                back = ua[slot[_P_RETURN]] < _bridge_touch(h - x0, h - x1, seg, m.sigma2)
+                back &= alive & (np.arange(e) > start[:, None]) & watch[:, None]
+                returned = back.any(axis=1)
+                with np.errstate(divide="ignore", invalid="ignore"):  # s may round to seg
+                    p_rest = _bridge_touch(h - b, h - x1[cr, kc], seg[cr, kc] - s, m.sigma2)
+                returned[cr] |= ua[slot[_P_RETURN]][cr, kc] < p_rest
+                hit[pos[returned]] = True
+                done = lost | (watch & (returned | reached))
+                after = watch
+            else:
+                done = stops | lost
+
+            keep = ~done
+            ids, after = ids[keep], after[keep]
+            t, x = clock[keep, e], walk[keep, 2 * e]
+            event += e
+            grow *= 2
+    return tau, x_stop, kind, hit
 
 
-def _chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(n, workers * 4))
-    step = -(-n // pieces)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _chunk_bounds(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
+    pieces = max(1, min(hi - lo, workers))
+    step = -(-(hi - lo) // pieces)
+    return [(first, min(first + step, hi)) for first in range(lo, hi, step)]
 
 
 def _map_chunks(fn, payloads: list, workers: int) -> list:
     if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+        return [fn(*p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
+        return list(pool.map(fn, *zip(*payloads)))
 
 
-def _run_all_paths(
-    m: ModelParams, c: Contract, a: float, cfg: McConfig, need_h: bool, workers: int
+def _run_paths(
+    m: ModelParams, b: float, h: float, horizon: float, seed: int, lo: int, hi: int,
+    direct: bool, workers: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     payloads = [
-        (m, c, a, cfg, need_h, lo, hi)
-        for lo, hi in _chunk_bounds(cfg.n_paths, workers)
+        (m, b, h, horizon, int(seed), first, last, direct)
+        for first, last in _chunk_bounds(lo, hi, workers)
     ]
-    parts = _map_chunks(_paths_chunk, payloads, workers)
+    parts = _map_chunks(_simulate, payloads, workers)
     return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _policy_paths(
+    m: ModelParams, c: Contract, a: float, cfg: McConfig, direct: bool, workers: int,
+    lo: int = 0, hi: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-path (tau, S_tau, kind, hit) for the stop-below-``a`` policy,
+    over paths [lo, hi) (default: all of ``cfg``'s paths)."""
+    taus, xs, kinds, hits = _run_paths(
+        m, math.log(a / c.spot), math.log(c.barrier / c.spot), cfg.horizon, cfg.seed,
+        lo, cfg.n_paths if hi is None else hi, direct, workers,
+    )
+    stys = np.where(kinds == _K_CREEP, a, c.spot * np.exp(xs))
+    return taus, np.where(kinds == _K_NONE, np.nan, stys), kinds, hits
 
 
 def simulate_to_threshold(
@@ -314,21 +320,16 @@ def simulate_to_threshold(
     """
     if a >= c.spot:
         return 0.0, c.spot
-    tau, x_tau, kind, _hit = _walk_path(
-        m.mu, m.sigma2, m.lam, m.rho, math.log(a / c.spot),
-        math.log(c.barrier / c.spot), cfg.dt, cfg.horizon, cfg.seed,
-        path_index, cfg.bridge_correction, False,
-    )
-    if kind == _K_NONE:
+    taus, stys, kinds, _hits = _policy_paths(m, c, a, cfg, False, 1, path_index, path_index + 1)
+    if kinds[0] == _K_NONE:
         return None, None
-    return tau, a if kind == _K_CREEP else c.spot * math.exp(x_tau)
+    return float(taus[0]), float(stys[0])
 
 
 def _note(cfg: McConfig) -> str:
     return (
-        f"exact jump epochs/sizes; Euler grid dt={cfg.dt:g} between jumps; "
-        f"bridge correction {'on' if cfg.bridge_correction else 'off'}; "
-        f"horizon={cfg.horizon:g}; mode={cfg.mode.value}"
+        f"exact event-driven simulation (no time grid); horizon={cfg.horizon:g}; "
+        f"mode={cfg.mode.value}"
     )
 
 
@@ -353,11 +354,11 @@ def estimate_value(
     put payoff by the conditional survival factor min((h/S_tau)^alpha, 1).
     Direct mode instead simulates on, pays the plain put amount, and keeps
     it only if the path returns to the barrier after stopping (exercise
-    strictly before the last visit); ties on the grid drop the payoff.
+    strictly before the last visit).
     """
     _check_estimation_inputs(m, c, a, cfg)
     direct = cfg.mode is McMode.DIRECT_LAST_PASSAGE
-    taus, stys, kinds, hits = _run_all_paths(m, c, a, cfg, direct, workers)
+    taus, stys, kinds, hits = _policy_paths(m, c, a, cfg, direct, workers)
 
     stopped = kinds != _K_NONE
     discount = np.where(stopped, np.exp(-m.r * np.nan_to_num(taus)), 0.0)
@@ -384,12 +385,12 @@ def estimate_passage_factors(
 ) -> tuple[McEstimate, McEstimate]:
     """Split E[e^{-r tau}] by how the threshold was reached.
 
-    Creep counts diffusive crossings (grid detection or bridge trigger),
-    undershoot counts jump crossings; truncated paths contribute zero to
-    both, so the two means add up to the discounted passage factor.
+    Creep counts diffusive crossings, undershoot counts jump crossings;
+    truncated paths contribute zero to both, so the two means add up to the
+    discounted passage factor.
     """
     _check_estimation_inputs(m, c, a, cfg)
-    taus, _stys, kinds, _hits = _run_all_paths(m, c, a, cfg, False, workers)
+    taus, _stys, kinds, _hits = _policy_paths(m, c, a, cfg, False, workers)
     discount = np.where(kinds != _K_NONE, np.exp(-m.r * np.nan_to_num(taus)), 0.0)
     bound = math.exp(-m.r * cfg.horizon)
     out = []
@@ -412,15 +413,15 @@ def collect_traces(
 ) -> list[PathTrace]:
     """Per-path stopping records (for trace dumps and law checks)."""
     _check_estimation_inputs(m, c, a, cfg)
-    taus, stys, kinds, _hits = _run_all_paths(m, c, a, cfg, False, workers)
+    taus, stys, kinds, _hits = _policy_paths(m, c, a, cfg, False, workers)
     return [
         PathTrace(
             path_index=i,
-            tau=float(taus[i]) if kinds[i] != _K_NONE else None,
-            s_tau=float(stys[i]) if kinds[i] != _K_NONE else None,
-            crossing=_CROSSING_LABEL[int(kinds[i])],
+            tau=tau if kind != _K_NONE else None,
+            s_tau=sty if kind != _K_NONE else None,
+            crossing=_CROSSING_LABEL[kind],
         )
-        for i in range(cfg.n_paths)
+        for i, (tau, sty, kind) in enumerate(zip(taus.tolist(), stys.tolist(), kinds.tolist()))
     ]
 
 
@@ -430,22 +431,21 @@ def estimate_discounted_terminal(
     """Mean of e^{-r t} S_t sampled from the exact transition law.
 
     Under the pinned drift this must reproduce the spot for every horizon;
-    it exercises the drift, the jump compounding, and the streams without
-    any grid at all.
+    it exercises the drift, the jump compounding, and the streams.  The
+    kernel runs with no threshold, so every path reports X_t.
     """
     if not (t > 0.0):
         raise ConfigError(f"sampling time must be positive, got t={t}")
-    payloads = [
-        (m, t, cfg.seed, lo, hi) for lo, hi in _chunk_bounds(cfg.n_paths, workers)
-    ]
-    xs = np.concatenate(_map_chunks(_terminal_chunk, payloads, workers))
+    _taus, xs, _kinds, _hits = _run_paths(
+        m, -math.inf, math.inf, t, cfg.seed, 0, cfg.n_paths, False, workers
+    )
     vals = math.exp(-m.r * t) * c.spot * np.exp(xs)
     return McEstimate(
         mean=float(np.mean(vals)),
         stderr=float(np.std(vals, ddof=1) / math.sqrt(cfg.n_paths)),
         n_paths=cfg.n_paths,
         truncation_bound=0.0,
-        discretization_note="exact transition sampling (no Euler grid)",
+        discretization_note="exact transition sampling (no time grid)",
     )
 
 

@@ -24,11 +24,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from scipy import integrate
-
 from .errors import (
     BranchError,
     DomainError,
+    InconsistentBasis,
     InvalidParams,
     NumericsWarning,
     QuadratureFailure,
@@ -192,8 +191,8 @@ def optimal_threshold(b: ScaleBasis, m: ModelParams, c: Contract) -> float:
     From the first-order condition in closed form.  Without jumps it
     reduces to the classic two-exponent ratio; with jumps the negative
     exponents enter through the two sums below.  The side conditions on
-    the signs of the coefficients are the model's own consistency guards
-    and are asserted in debug mode.
+    the signs of the coefficients are the model's own consistency guards;
+    a basis that breaks them raises :class:`InconsistentBasis`.
     """
     k = c.strike
     alpha = m.alpha
@@ -202,13 +201,17 @@ def optimal_threshold(b: ScaleBasis, m: ModelParams, c: Contract) -> float:
         a_star = k * (eta2 + alpha) / (eta2 + alpha - 1.0)
     else:
         s2, r, rho = m.sigma2, m.r, m.rho
-        assert b.c[1] < 0.0 and b.c[2] < 0.0, "negative-exponent coefficients"
+        if not (b.c[1] < 0.0 and b.c[2] < 0.0):
+            raise InconsistentBasis(
+                f"negative-exponent coefficients must be negative, got {b.c[1:]}"
+            )
         sum_wpp = 0.0  # weights of W'' at 0+, i.e. sum c_i eta_i (eta_i - 1)
         sum_mix = 0.0  # mixed discount sum, positive in the valid regime
         for ei, ci in zip(b.eta[1:], b.c[1:]):
             sum_wpp += ci * ei * (ei - 1.0)
             sum_mix += ci * ei * (r * (1.0 / ei - 1.0) - (s2 / 2.0) * (ei - 1.0))
-        assert sum_mix > 0.0, "mixed discount sum must be positive"
+        if not (sum_mix > 0.0):
+            raise InconsistentBasis(f"mixed discount sum must be positive, got {sum_mix}")
         num = (s2 / 2.0) * sum_wpp + alpha + rho / (rho - alpha) * sum_mix
         den = (
             (s2 / 2.0) * sum_wpp
@@ -302,6 +305,8 @@ def generator_apply(m: ModelParams, f: Callable[[float], float], s: float) -> fl
     mu_tilde = m.r + (m.lam / (1.0 + m.rho) if m.lam > 0.0 else 0.0)
     out = mu_tilde * s * _d1_ladder(f, s) + m.sigma2 * s * s * _d2_ladder(f, s) / 2.0
     if m.lam > 0.0:
+        from scipy import integrate  # deferred: importing scipy dominates start-up
+
         rho = m.rho
         f_s = f(s)
         y_max = -math.log(_JUMP_WEIGHT_CUTOFF) / rho

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from cancelput.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 BASE = ["--r", "0.05", "--sigma2", "0.2", "--strike", "100", "--barrier", "120", "--spot", "110"]
 JUMPS = ["--r", "0.05", "--sigma2", "0.2", "--lambda", "5", "--rho", "2",
@@ -154,6 +157,38 @@ def test_threshold_grid_closed_form(capsys):
     assert doc["grid"]["points"] == 41
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--grid-min", "40", "--grid-max", "80", "--grid-step", "0"],
+        ["--grid-min", "40", "--grid-max", "80", "--grid-step", "-1"],
+    ],
+)
+def test_threshold_grid_nonpositive_step_exit_2(grid, capsys):
+    code, doc = run_json(["threshold", *BASE, *grid], capsys)
+    assert code == 2
+    assert doc["error"]["type"] == "ConfigError"
+
+
+def test_threshold_grid_min_above_max_exit_2(capsys):
+    code, doc = run_json(
+        ["threshold", *BASE, "--grid-min", "90", "--grid-max", "50", "--grid-step", "1"], capsys
+    )
+    assert code == 2
+    assert doc["error"]["type"] == "ConfigError"
+
+
+def test_threshold_grid_point_cap_exit_2(capsys):
+    # 1e-4 steps over (1, 99) would be about 980,000 points; the cap is 100,000.
+    code, doc = run_json(
+        ["threshold", *BASE, "--grid-min", "1", "--grid-max", "99", "--grid-step", "1e-4"],
+        capsys,
+    )
+    assert code == 2
+    assert doc["error"]["type"] == "ConfigError"
+    assert "100000 points" in doc["error"]["message"]
+
+
 def test_threshold_grid_mc_requires_seed(capsys):
     code, doc = run_json(
         ["threshold", *JUMPS, "--grid-min", "40", "--grid-max", "80",
@@ -209,7 +244,7 @@ def test_curve_unwritable_path_exit_3(capsys):
 
 def test_simulate_csv(tmp_path, capsys):
     out = tmp_path / "paths.csv"
-    code, _ = run_cli(["simulate", *JUMPS, "--paths", "150", "--dt", "0.01",
+    code, _ = run_cli(["simulate", *JUMPS, "--paths", "150",
                        "--seed", "21", "--out", str(out)], capsys)
     assert code == 0
     lines = out.read_text().strip().split("\n")
@@ -229,7 +264,7 @@ def test_simulate_requires_seed(tmp_path, capsys):
 
 def test_simulate_deterministic_across_workers(tmp_path, capsys):
     a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    base = ["simulate", *JUMPS, "--paths", "200", "--dt", "0.01", "--seed", "33"]
+    base = ["simulate", *JUMPS, "--paths", "200", "--seed", "33"]
     assert run_cli([*base, "--workers", "1", "--out", str(a)], capsys)[0] == 0
     assert run_cli([*base, "--workers", "2", "--out", str(b)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
@@ -248,7 +283,7 @@ def test_validate_analytic_suites(capsys):
 
 def test_validate_mc_suite(capsys):
     code, out = run_cli(["validate", *JUMPS, "--suite", "mc", "--paths", "2000",
-                         "--dt", "0.005", "--seed", "11"], capsys)
+                         "--seed", "11"], capsys)
     assert code == 0
     assert "checks passed" in out
 
@@ -267,6 +302,46 @@ def test_validate_invalid_contract_fails_before_suite(capsys):
 
 
 # ------------------------------------------------------------- entry point
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    # The parser is built once per process; one call's flags must not leak
+    # into the next call, whatever its subcommand.
+    grid = ["--grid-min", "40", "--grid-max", "80", "--grid-step", "1"]
+    code, doc = run_json(["threshold", *JUMPS, *grid], capsys)
+    assert code == 0 and doc["method"] == "grid-closed-form"
+    code, doc = run_json(["threshold", *JUMPS], capsys)
+    assert code == 0 and doc["method"] == "closed-form"
+    out = tmp_path / "paths.csv"
+    assert run_cli(["simulate", *JUMPS, "--paths", "100", "--seed", "5", "--workers", "2",
+                    "--out", str(out)], capsys)[0] == 0
+    code, doc = run_json(["simulate", *JUMPS, "--paths", "100", "--out", str(out)], capsys)
+    assert code == 2 and "seed" in doc["error"]["message"]
+    code, doc = run_json(["price", *BASE], capsys)
+    assert code == 0 and doc["params_echo"]["lambda"] == 0.0
+    code, out_text = run_cli(["validate", *BASE], capsys)
+    assert code == 0 and "transform identity" in out_text  # default suite is analytic
+
+
+def test_price_does_not_import_scipy():
+    # scipy is needed only by the diagnostic quadratures; quoting must not
+    # pay for importing it, neither on import nor through the CLI.
+    code = (
+        "import runpy, sys\n"
+        "import cancelput\n"
+        "assert 'scipy' not in sys.modules, 'imported by the package'\n"
+        "sys.argv = ['cancelput', 'price', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('cancelput', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'scipy' not in sys.modules, 'imported by price'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code, *JUMPS], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["a_star"] == pytest.approx(63.18132384302513, rel=1e-9)
 
 
 def test_console_script_runs():

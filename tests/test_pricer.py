@@ -1,7 +1,11 @@
 """Closed-form pricing: payoff, passage factors, threshold, value, generator."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +15,7 @@ from scipy.integrate import quad
 from cancelput.errors import (
     BranchError,
     DomainError,
+    InconsistentBasis,
     InvalidParams,
     QuadratureFailure,
     ThresholdOutOfRange,
@@ -193,6 +198,36 @@ def test_threshold_out_of_range_guard(contract):
     b = build_scale_basis_bs(m)
     with pytest.raises(ThresholdOutOfRange):
         optimal_threshold(b, m, contract)
+
+
+def test_threshold_sign_guard(model_jumps, contract):
+    # A basis whose second coefficient has the wrong sign breaks the
+    # first-order condition's premises: a typed error, not an assert.
+    b = basis_for(model_jumps)
+    flipped = dataclasses.replace(b, c=(b.c[0], -b.c[1], b.c[2]))
+    with pytest.raises(InconsistentBasis):
+        optimal_threshold(flipped, model_jumps, contract)
+
+
+def test_threshold_sign_guard_survives_optimize_flag():
+    # Under python -O asserts vanish; the guard must still fire.
+    code = (
+        "import dataclasses\n"
+        "from cancelput import Contract, InconsistentBasis, basis_for, make_model, optimal_threshold\n"
+        "m = make_model(0.05, 0.2, 5.0, 2.0)\n"
+        "b = basis_for(m)\n"
+        "b = dataclasses.replace(b, c=(b.c[0], -b.c[1], b.c[2]))\n"
+        "try:\n"
+        "    optimal_threshold(b, m, Contract(100.0, 120.0, 110.0))\n"
+        "except InconsistentBasis:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_value_frozen(model_nojump, model_jumps, contract):
