@@ -203,13 +203,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if args.mc:
         cfg = _build_mc_config(args, file_values)
         a_hat, _values = grid_search_threshold(
-            model, contract, cfg, grid, use_mc=True,
-            workers=_resolve_workers(args, file_values),
+            model, contract, grid, cfg, workers=_resolve_workers(args, file_values)
         )
         method = "grid-mc"
     else:
-        cfg = McConfig(n_paths=100, horizon=200.0, seed=0)  # unused
-        a_hat, _values = grid_search_threshold(model, contract, cfg, grid)
+        a_hat, _values = grid_search_threshold(model, contract, grid)
         method = "grid-closed-form"
     _emit(
         {

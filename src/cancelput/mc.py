@@ -79,7 +79,6 @@ class McEstimate:
     stderr: float
     n_paths: int
     truncation_bound: float
-    discretization_note: str
 
 
 @dataclass(frozen=True)
@@ -326,13 +325,6 @@ def simulate_to_threshold(
     return float(taus[0]), float(stys[0])
 
 
-def _note(cfg: McConfig) -> str:
-    return (
-        f"exact event-driven simulation (no time grid); horizon={cfg.horizon:g}; "
-        f"mode={cfg.mode.value}"
-    )
-
-
 def _check_estimation_inputs(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> None:
     if not (0.0 < a < min(c.strike, c.spot)):
         raise ConfigError(
@@ -376,7 +368,6 @@ def estimate_value(
         stderr=float(np.std(pay, ddof=1) / math.sqrt(cfg.n_paths)),
         n_paths=cfg.n_paths,
         truncation_bound=math.exp(-m.r * cfg.horizon) * c.strike,
-        discretization_note=_note(cfg),
     )
 
 
@@ -402,7 +393,6 @@ def estimate_passage_factors(
                 stderr=float(np.std(vals, ddof=1) / math.sqrt(cfg.n_paths)),
                 n_paths=cfg.n_paths,
                 truncation_bound=bound,
-                discretization_note=_note(cfg),
             )
         )
     return out[0], out[1]
@@ -445,23 +435,21 @@ def estimate_discounted_terminal(
         stderr=float(np.std(vals, ddof=1) / math.sqrt(cfg.n_paths)),
         n_paths=cfg.n_paths,
         truncation_bound=0.0,
-        discretization_note="exact transition sampling (no time grid)",
     )
 
 
 def grid_search_threshold(
     m: ModelParams,
     c: Contract,
-    cfg: McConfig,
     a_grid,
-    use_mc: bool = False,
+    cfg: McConfig | None = None,
     workers: int = 1,
 ) -> tuple[float, list[float]]:
     """Argmax of the policy value over candidate thresholds.
 
-    Closed-form evaluation by default; with ``use_mc`` every grid point is
-    estimated from the same seed, so the comparison rides on common random
-    numbers and the argmax is not noise-dominated.
+    Closed-form evaluation without ``cfg``; with it every grid point is
+    estimated by simulation from the same seed, so the comparison rides on
+    common random numbers and the argmax is not noise-dominated.
     """
     grid = [float(a) for a in a_grid]
     if not grid:
@@ -471,7 +459,7 @@ def grid_search_threshold(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("threshold grid must be strictly increasing")
 
-    if use_mc:
+    if cfg is not None:
         values = [estimate_value(m, c, a, cfg, workers=workers).mean for a in grid]
     else:
         basis = basis_for(m)

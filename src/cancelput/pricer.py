@@ -19,10 +19,13 @@ exponentially distributed undershoot).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import (
     BranchError,
@@ -34,7 +37,7 @@ from .errors import (
     ThresholdOutOfRange,
 )
 from .model import ModelParams
-from .scale import ScaleBasis, build_scale_basis_bs, w_r, w_r_prime, z_r
+from .scale import ScaleBasis, build_scale_basis_bs
 
 #: Allowed numerical excursion outside [0, 1] before a factor clamp warns.
 _CLAMP_TOL = 1e-10
@@ -43,8 +46,11 @@ _CLAMP_TOL = 1e-10
 _D1_STEPS = (1e-4, 5e-5, 2.5e-5)
 _D2_STEPS = (1e-3, 5e-4)
 
-#: The jump integrand is truncated where its exponential weight is below this.
-_JUMP_WEIGHT_CUTOFF = 1e-14
+#: Node counts of the two Gauss-Laguerre rules for the jump term, and the
+#: largest relative gap between them.  The gap is the coarse rule's error;
+#: the fine rule's is about its square, so a 1e-7 gap leaves it near 1e-14.
+_GL_NODES = (32, 64)
+_GL_TOL = 1e-7
 
 
 class Region(enum.Enum):
@@ -124,45 +130,40 @@ def _clamped_unit(raw: float, label: str) -> float:
 def creeping_factor(b: ScaleBasis, m: ModelParams, s: float, a: float) -> float:
     """Discounted probability weight of touching ``a`` continuously.
 
-    Standard form (s2/2)(W'(x) - phi_r W(x)) at x = log(s/a); computed as
-    the equivalent sum (s2/2) * sum c_i (eta_i - phi_r) e^{eta_i x}, whose
-    leading term vanishes identically (eta_1 = phi_r = 1), so the result
+    Standard form (s2/2)(W'(x) - W(x)) at x = log(s/a); computed as the
+    equivalent sum (s2/2) * sum c_i (eta_i - 1) e^{eta_i x}, whose leading
+    term (eta_1 = 1) vanishes identically and is left out, so the result
     decays instead of being a difference of two growing exponentials.
     """
     if not (s >= a > 0.0):
         raise DomainError(f"need s >= a > 0, got s={s}, a={a}")
     x = math.log(s / a)
     acc = 0.0
-    for ei, ci in zip(b.eta, b.c):
-        if ci == 0.0 or ei == b.phi_r:
-            continue
-        acc += ci * (ei - b.phi_r) * math.exp(ei * x)
+    for ei, ci in zip(b.eta[1:], b.c[1:]):
+        acc += ci * (ei - 1.0) * math.exp(ei * x)
     return _clamped_unit(m.sigma2 / 2.0 * acc, "creeping factor")
 
 
 def undershoot_factor(b: ScaleBasis, m: ModelParams, s: float, a: float) -> float:
     """Discounted probability weight of jumping strictly below ``a``.
 
-    Standard form Z(x) - (s2/2)W'(x) - W(x)(r/phi_r - phi_r*s2/2) at
-    x = log(s/a), regrouped per exponent so the eta_1 = phi_r term cancels
-    exactly and the constant collapses through sum c_i/eta_i = 1/r.
-    Without jumps the event is impossible and the factor is exactly zero.
+    Standard form Z(x) - (s2/2)W'(x) - W(x)(r - s2/2) at x = log(s/a),
+    regrouped per exponent.  The eta_1 = 1 term cancels exactly, so it is
+    left out rather than summed as a roundoff residue that e^x would
+    amplify; the constant collapses through sum c_i/eta_i = 1/r.  Without
+    jumps the event is impossible and the factor is exactly zero.
     """
     if not (s >= a > 0.0):
         raise DomainError(f"need s >= a > 0, got s={s}, a={a}")
     if m.lam == 0.0:
         return 0.0
     x = math.log(s / a)
-    s2, r, phi = m.sigma2, m.r, b.phi_r
-    const = 1.0
+    s2, r = m.sigma2, m.r
+    const = 1.0 - r * b.c[0] / b.eta[0]
     acc = 0.0
-    for ei, ci in zip(b.eta, b.c):
-        if ci == 0.0:
-            continue
+    for ei, ci in zip(b.eta[1:], b.c[1:]):
         const -= r * ci / ei
-        acc += ci * math.exp(ei * x) * (
-            r / ei - s2 * ei / 2.0 - r / phi + phi * s2 / 2.0
-        )
+        acc += ci * math.exp(ei * x) * (r / ei - s2 * ei / 2.0 - r + s2 / 2.0)
     return _clamped_unit(const + acc, "undershoot factor")
 
 
@@ -290,40 +291,49 @@ def _d2_ladder(f: Callable[[float], float], s: float) -> float:
     return (4.0 * g[1] - g[0]) / 3.0
 
 
+_laguerre = functools.lru_cache(maxsize=None)(np.polynomial.laguerre.laggauss)
+
+
+def _jump_mean(m: ModelParams, f: Callable[[float], float], s: float, n: int):
+    """E[f(s e^{-Y})] - f(s) for Y ~ Exp(rho) on the n-node Laguerre rule in
+    u = beta*y; returns the value and the sum of its absolute terms.
+
+    beta = sqrt(rho (rho + 2)) is the geometric mean of the kernel's decay
+    rate and that of a term quadratic in the landing price, so for small rho
+    the payoff's variation is not crowded against u = 0.  Nodes whose landing
+    point underflows to zero (y beyond about 745 + ln s) are left out.
+    """
+    beta = math.sqrt(m.rho * (m.rho + 2.0))
+    u, w = _laguerre(n)
+    landing = (s * np.exp(-u / beta)).tolist()
+    weight = (w * (m.rho / beta) * np.exp((1.0 - m.rho / beta) * u)).tolist()
+    f_s = f(s)
+    terms = [wt * (f(x) - f_s) for x, wt in zip(landing, weight) if x > 0.0]
+    return sum(terms), sum(map(abs, terms))
+
+
 def generator_apply(m: ModelParams, f: Callable[[float], float], s: float) -> float:
     """Infinitesimal generator of the price process applied to ``f`` at ``s``.
 
     Drift and diffusion terms use Richardson-extrapolated central
     differences (relative steps small enough for smooth payoffs but wide
     enough that second-difference roundoff stays far below the quadrature
-    tolerance).  The jump term integrates the exponential undershoot kernel
-    by adaptive quadrature, truncated where the kernel weight underflows
-    the tolerance.
+    tolerance).  The jump term integrates against the exponential
+    undershoot kernel on Gauss-Laguerre nodes; a 32-node and a 64-node rule
+    must agree to a relative 1e-7, or :class:`QuadratureFailure` is raised.
     """
     if s <= 0.0:
         raise DomainError(f"generator needs a positive price, got s={s}")
     mu_tilde = m.r + (m.lam / (1.0 + m.rho) if m.lam > 0.0 else 0.0)
     out = mu_tilde * s * _d1_ladder(f, s) + m.sigma2 * s * s * _d2_ladder(f, s) / 2.0
     if m.lam > 0.0:
-        from scipy import integrate  # deferred: importing scipy dominates start-up
-
-        rho = m.rho
-        f_s = f(s)
-        y_max = -math.log(_JUMP_WEIGHT_CUTOFF) / rho
-        val, _abserr, info, *tail = integrate.quad(
-            lambda y: (f(s * math.exp(-y)) - f_s) * math.exp(-rho * y),
-            0.0,
-            y_max,
-            limit=200,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            full_output=1,
-        )
-        if tail:  # non-empty means quadpack attached an error message
+        (coarse, _), (fine, size) = (_jump_mean(m, f, s, n) for n in _GL_NODES)
+        if abs(fine - coarse) > _GL_TOL * size:
             raise QuadratureFailure(
-                f"jump-kernel quadrature did not converge at s={s}: {tail[0]}"
+                f"jump-kernel rules with {_GL_NODES} nodes disagree at s={s}: "
+                f"{coarse} vs {fine}"
             )
-        out += m.lam * rho * val
+        out += m.lam * fine
     return out
 
 

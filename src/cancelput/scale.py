@@ -9,20 +9,22 @@ For this model both admit finite exponential sums: the cubic
 has three simple real roots, one of which is exactly 1 under the martingale
 drift, and partial fractions of 1/(psi - r) over those roots give the sum
 coefficients.  Without jumps the cubic collapses to a quadratic and the sum
-has two terms; we keep a zeroed third slot so downstream code is branch-free.
+has two terms.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BranchError, DegenerateRoots
-from .model import ModelParams, _psi_rational
+from .model import ModelParams
 
 #: Two roots closer than this are treated as coincident.
 _ROOT_SEP_TOL = 1e-10
-_POLISH_TOL = 1e-14
+#: Newton polishing stops once the cubic is within this many ulps of its terms.
+_POLISH_ULPS = 8.0 * sys.float_info.epsilon
 _MAX_EXP_ARG = 700.0  # exp() overflows just above 709; saturate before that
 
 
@@ -30,46 +32,32 @@ _MAX_EXP_ARG = 700.0  # exp() overflows just above 709; saturate before that
 class ScaleBasis:
     """Exponents and coefficients of the exponential-sum scale functions.
 
-    ``eta`` holds the three exponents (first is always 1, the positive
-    root), ``c`` the matching coefficients (zero marks an unused slot),
-    ``phi_r`` the largest root of psi(theta)=r, and ``omega`` the scaled
-    discriminant of the quadratic factor (kept for diagnostics).
+    ``eta`` holds the exponents, three with jumps and two without; the
+    first is always 1, the positive root of psi(theta) = r.  ``c`` holds
+    the matching coefficients.
     """
 
-    eta: tuple[float, float, float]
-    c: tuple[float, float, float]
-    phi_r: float
-    omega: float
+    eta: tuple[float, ...]
+    c: tuple[float, ...]
 
 
-def _cubic(m: ModelParams, theta: float) -> float:
-    """(psi(theta) - r)(theta + rho), expanded so the pole is cleared."""
-    s2 = m.sigma2
-    return (
-        (s2 / 2.0) * theta**3
-        + (m.mu + s2 * m.rho / 2.0) * theta**2
-        + (m.mu * m.rho - m.lam - m.r) * theta
-        - m.r * m.rho
-    )
+def _cubic(m: ModelParams, theta: float) -> tuple[float, float, float]:
+    """(psi(theta) - r)(theta + rho), expanded so the pole is cleared.
 
-
-def _cubic_deriv(m: ModelParams, theta: float) -> float:
-    s2 = m.sigma2
-    return (
-        1.5 * s2 * theta**2
-        + 2.0 * (m.mu + s2 * m.rho / 2.0) * theta
-        + (m.mu * m.rho - m.lam - m.r)
-    )
+    Returns the value, the sum of its terms' magnitudes (the value's
+    roundoff floor), and the derivative.
+    """
+    k3 = m.sigma2 / 2.0
+    k2 = m.mu + m.sigma2 * m.rho / 2.0
+    k1 = m.mu * m.rho - m.lam - m.r
+    terms = (k3 * theta**3, k2 * theta**2, k1 * theta, -m.r * m.rho)
+    return sum(terms), sum(map(abs, terms)), 3.0 * k3 * theta**2 + 2.0 * k2 * theta + k1
 
 
 def _polish_root(m: ModelParams, theta: float) -> float:
-    scale = max(1.0, m.r * m.rho)
     for _ in range(20):
-        val = _cubic(m, theta)
-        if abs(val) <= _POLISH_TOL * scale:
-            break
-        slope = _cubic_deriv(m, theta)
-        if slope == 0.0:
+        val, size, slope = _cubic(m, theta)
+        if abs(val) <= _POLISH_ULPS * size or slope == 0.0:
             break
         theta -= val / slope
     return theta
@@ -98,7 +86,7 @@ def _partial_fraction_weights(
                 )
             denom *= gap
         out.append((ei + rho) / denom)
-    return (out[0], out[1], out[2])
+    return tuple(out)
 
 
 def build_scale_basis(m: ModelParams) -> ScaleBasis:
@@ -118,7 +106,6 @@ def build_scale_basis(m: ModelParams) -> ScaleBasis:
     # out the exact root at theta = 1.
     b = m.mu + s2 * (m.rho + 1.0) / 2.0
     disc = b * b - 2.0 * s2 * m.r * m.rho
-    omega = (m.rho + 1.0) ** 2 * disc
     if disc <= 0.0:
         raise DegenerateRoots(
             f"quadratic-factor discriminant {disc} is not positive"
@@ -140,14 +127,14 @@ def build_scale_basis(m: ModelParams) -> ScaleBasis:
 
     etas = (1.0, root_lo, root_hi)
     coeffs = _partial_fraction_weights(etas, s2, m.rho)
-    return ScaleBasis(eta=etas, c=coeffs, phi_r=1.0, omega=omega)
+    return ScaleBasis(eta=etas, c=coeffs)
 
 
 def build_scale_basis_bs(m: ModelParams) -> ScaleBasis:
     """Two-exponential basis for the jump-free model (``lam = 0``).
 
     The exponents solve mu*theta + s2*theta^2/2 = r; the positive one is 1
-    under the martingale drift.  The third slot is zeroed.
+    under the martingale drift.
     """
     if m.lam > 0.0:
         raise BranchError("two-root basis requires zero jump intensity")
@@ -164,7 +151,7 @@ def build_scale_basis_bs(m: ModelParams) -> ScaleBasis:
         eta2 -= val / slope
 
     c1 = 1.0 / ((s2 / 2.0) * (1.0 - eta2))
-    return ScaleBasis(eta=(1.0, eta2, 0.0), c=(c1, -c1, 0.0), phi_r=1.0, omega=disc)
+    return ScaleBasis(eta=(1.0, eta2), c=(c1, -c1))
 
 
 def basis_for(m: ModelParams) -> ScaleBasis:
@@ -182,8 +169,6 @@ def w_r(b: ScaleBasis, x: float) -> float:
         return 0.0
     acc = 0.0
     for ei, ci in zip(b.eta, b.c):
-        if ci == 0.0:
-            continue
         acc += ci * math.exp(min((ei - 1.0) * x, _MAX_EXP_ARG))
     return math.exp(min(x, _MAX_EXP_ARG)) * acc
 
@@ -194,8 +179,6 @@ def w_r_prime(b: ScaleBasis, x: float) -> float:
         return 0.0
     acc = 0.0
     for ei, ci in zip(b.eta, b.c):
-        if ci == 0.0:
-            continue
         acc += ci * ei * math.exp(min((ei - 1.0) * x, _MAX_EXP_ARG))
     return math.exp(min(x, _MAX_EXP_ARG)) * acc
 
@@ -206,7 +189,5 @@ def z_r(b: ScaleBasis, m: ModelParams, x: float) -> float:
         return 1.0
     acc = 0.0
     for ei, ci in zip(b.eta, b.c):
-        if ci == 0.0:
-            continue
         acc += ci * (math.exp(min(ei * x, _MAX_EXP_ARG)) - 1.0) / ei
     return 1.0 + m.r * acc

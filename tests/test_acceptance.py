@@ -88,12 +88,11 @@ def test_criterion_02_jump_benchmark(jumps):
 
 def test_criterion_03_grid_argmax_matches_closed_form(diffusion, jumps):
     t0 = time.perf_counter()
-    cfg = McConfig(n_paths=100, horizon=200.0, seed=0)  # unused by closed-form path
     worst = 0.0
     for m, b in (diffusion, jumps):
         a_star = optimal_threshold(b, m, C)
         grid = [round(0.01 * i, 2) for i in range(1, 10000)]
-        a_hat, _ = grid_search_threshold(m, C, cfg, grid)
+        a_hat, _ = grid_search_threshold(m, C, grid)
         worst = max(worst, abs(a_hat - a_star))
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.01 + 1e-9 and elapsed < 1.0

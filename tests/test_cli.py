@@ -324,18 +324,22 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
 
 
 def test_price_does_not_import_scipy():
-    # scipy is needed only by the diagnostic quadratures; quoting must not
-    # pay for importing it, neither on import nor through the CLI.
+    # The package runs on numpy alone: neither import, quoting, nor either
+    # validation suite may load scipy (the tests use it only as an oracle).
     code = (
-        "import runpy, sys\n"
+        "import contextlib, io, sys\n"
         "import cancelput\n"
+        "from cancelput import cli\n"
         "assert 'scipy' not in sys.modules, 'imported by the package'\n"
-        "sys.argv = ['cancelput', 'price', *sys.argv[1:]]\n"
-        "try:\n"
-        "    runpy.run_module('cancelput', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        "assert 'scipy' not in sys.modules, 'imported by price'\n"
+        "flags = sys.argv[1:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as quote:\n"
+        "    assert cli.main(['price', *flags]) == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['validate', *flags, '--suite', 'analytic']) == 0\n"
+        "    assert cli.main(['validate', *flags, '--suite', 'mc', '--paths', '400',\n"
+        "                     '--seed', '3', '--workers', '1']) in (0, 1)\n"
+        "assert 'scipy' not in sys.modules, 'imported by a command'\n"
+        "print(quote.getvalue())\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code, *JUMPS], capture_output=True,

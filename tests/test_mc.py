@@ -7,6 +7,7 @@ the acceptance gate also uses.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -178,7 +179,10 @@ def test_survival_estimate_brackets_closed_form(model_jumps, contract):
     band = 3.0 * est.stderr + 0.015 * VALUE_JUMPS + est.truncation_bound
     assert abs(est.mean - VALUE_JUMPS) <= band
     assert est.truncation_bound == pytest.approx(math.exp(-0.05 * 200.0) * 100.0)
-    assert "no time grid" in est.discretization_note
+    # The record carries numbers only; the run's settings stay with its McConfig.
+    assert [f.name for f in dataclasses.fields(est)] == [
+        "mean", "stderr", "n_paths", "truncation_bound"
+    ]
 
 
 def test_passage_factor_estimates(model_jumps, contract):
@@ -209,7 +213,7 @@ def test_discounted_terminal_martingale(model_jumps, contract):
     est = estimate_discounted_terminal(model_jumps, contract, 1.0, cfg)
     assert abs(est.mean - contract.spot) <= 3.0 * est.stderr
     assert est.truncation_bound == 0.0
-    assert "exact" in est.discretization_note
+    assert est.n_paths == 2000
 
 
 # ----------------------------------------------------------- reproducibility
@@ -282,32 +286,31 @@ def test_seed_matters(model_jumps, contract):
 
 
 def test_grid_search_validation(model_jumps, contract):
-    cfg = _cfg()
-    with pytest.raises(ConfigError):
-        grid_search_threshold(model_jumps, contract, cfg, [])
-    with pytest.raises(ConfigError):
-        grid_search_threshold(model_jumps, contract, cfg, [50.0, 40.0])  # not increasing
-    with pytest.raises(ConfigError):
-        grid_search_threshold(model_jumps, contract, cfg, [50.0, 120.0])  # above strike
+    for cfg in (None, _cfg()):
+        with pytest.raises(ConfigError):
+            grid_search_threshold(model_jumps, contract, [], cfg)
+        with pytest.raises(ConfigError):
+            grid_search_threshold(model_jumps, contract, [50.0, 40.0], cfg)  # not increasing
+        with pytest.raises(ConfigError):
+            grid_search_threshold(model_jumps, contract, [50.0, 120.0], cfg)  # above strike
 
 
 def test_grid_search_closed_form(model_jumps, contract):
-    cfg = _cfg()
     grid = [float(x) for x in np.arange(10.0, 100.0, 10.0)]
-    a_hat, vals = grid_search_threshold(model_jumps, contract, cfg, grid)
+    a_hat, vals = grid_search_threshold(model_jumps, contract, grid)
     assert a_hat == 60.0  # closest grid point to the true 63.18
     assert len(vals) == len(grid)
     assert vals[grid.index(a_hat)] == max(vals)
 
 
 def test_grid_search_single_point(model_jumps, contract):
-    a_hat, vals = grid_search_threshold(model_jumps, contract, _cfg(), [42.0])
+    a_hat, vals = grid_search_threshold(model_jumps, contract, [42.0])
     assert a_hat == 42.0 and len(vals) == 1
 
 
 def test_grid_search_monte_carlo(model_jumps, contract):
     cfg = _cfg(n_paths=400, seed=9)
     grid = [40.0, A_STAR_JUMPS, 85.0]
-    a_hat, vals = grid_search_threshold(model_jumps, contract, cfg, grid, use_mc=True)
+    a_hat, vals = grid_search_threshold(model_jumps, contract, grid, cfg)
     assert a_hat == A_STAR_JUMPS  # the true optimum wins even at 400 paths
     assert len(vals) == 3

@@ -17,6 +17,7 @@ from cancelput.errors import (
     DomainError,
     InconsistentBasis,
     InvalidParams,
+    NumericsWarning,
     QuadratureFailure,
     ThresholdOutOfRange,
 )
@@ -164,6 +165,32 @@ def test_factors_clamped_without_warning_for_tiny_excursions(model_nojump):
         warnings.simplefilter("error")
         val = creeping_factor(b, model_nojump, 50.0 + 1e-13, 50.0)
     assert val <= 1.0
+
+
+@pytest.mark.parametrize(
+    "ratio,under,value",
+    [
+        (1e12, 0.014796249303647233, 0.5063100165703273),
+        (1e15, 0.005867220711118153, 0.2007693000100875),
+    ],
+)
+def test_undershoot_far_from_threshold(ratio, under, value):
+    # Far above a*, e^x amplifies anything the eta_1 = 1 term leaves behind;
+    # on this set its roundoff residue once cost 0.3% of the factor at 1e12
+    # and clamped it to zero at 1e15.  Reference: 50-digit mpmath, with the
+    # martingale root pinned at exactly 1.
+    m = make_model(
+        r=0.08193492635809045, sigma2=0.4678551768663966,
+        lam=3.604007159110768, rho=2.7065383683819517,
+    )
+    b = basis_for(m)
+    c = Contract(strike=100.0, barrier=131.9181540300086, spot=56.12694880858979 * ratio)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericsWarning)
+        rep = price(b, m, c)
+    assert rep.a_star == pytest.approx(56.12694880858979, rel=1e-12)
+    assert rep.undershoot_factor == pytest.approx(under, rel=1e-6)
+    assert rep.value == pytest.approx(value, rel=1e-6)
 
 
 # ------------------------------------------------------- threshold and value
@@ -338,6 +365,16 @@ def test_generator_on_exponentials(model_nojump, model_jumps):
             assert got == pytest.approx(m.r * s, rel=1e-9)
         got2 = generator_apply(m, lambda u: u * u, 50.0)
         assert got2 == pytest.approx(laplace_exponent(m, 2.0) * 2500.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.3, 20.0])
+def test_generator_jump_term_across_rho(rho):
+    # Monomials again, with jump sizes from huge (mean log-drop 20) to tiny;
+    # the jump term is E[(s e^{-Y})^p] - s^p = s^p (rho/(rho+p) - 1).
+    m = make_model(r=0.05, sigma2=0.2, lam=0.5, rho=rho)
+    for p in (1.0, 2.0):
+        got = generator_apply(m, lambda u: u**p, 40.0)
+        assert got == pytest.approx(laplace_exponent(m, p) * 40.0**p, rel=1e-8)
 
 
 def test_generator_on_constants(model_jumps):
