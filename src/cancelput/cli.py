@@ -5,16 +5,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from dataclasses import replace
 
 from .diagnostics import analytic_suite, mc_suite
-from .errors import CancelPutError, ConfigError
-from .mc import (
-    McConfig,
-    McMode,
-    collect_traces,
-    grid_search_threshold,
-)
+from .errors import CancelPutError, ConfigError, InvalidParams
+from .mc import McConfig, McMode, grid_search_threshold, simulate_paths
 from .model import make_model
 from .pricer import Contract, g_payoff, optimal_threshold, price, value_at_threshold
 from .scale import basis_for
@@ -71,6 +68,8 @@ def _build_model_contract(args: argparse.Namespace):
     if sigma2 is None:
         sigma = _merged(args, "sigma", float, file_values)
         if sigma is not None:
+            if not (sigma > 0.0):
+                raise InvalidParams(f"volatility must be positive, got sigma={sigma}")
             sigma2 = sigma * sigma
     lam = _merged(args, "lambda", float, file_values)
     rho = _merged(args, "rho", float, file_values)
@@ -100,7 +99,9 @@ def _build_model_contract(args: argparse.Namespace):
     return model, contract, file_values
 
 
-def _build_mc_config(args: argparse.Namespace, file_values: dict[str, str]) -> McConfig:
+def _build_mc_config(
+    args: argparse.Namespace, file_values: dict[str, str], r: float
+) -> McConfig:
     paths = _merged(args, "paths", int, file_values)
     horizon = _merged(args, "horizon", float, file_values)
     seed = _merged(args, "seed", int, file_values)
@@ -111,7 +112,8 @@ def _build_mc_config(args: argparse.Namespace, file_values: dict[str, str]) -> M
         raise ConfigError(f"mode must be 'survival' or 'direct', got {mode!r}")
     return McConfig(
         n_paths=paths if paths is not None else 10_000,
-        horizon=horizon if horizon is not None else 200.0,
+        # The estimators need horizon >= 10/r; 200 already covers r >= 0.05.
+        horizon=horizon if horizon is not None else max(200.0, 10.0 / r),
         seed=seed,
         mode=McMode.DIRECT_LAST_PASSAGE if mode == "direct" else McMode.SURVIVAL_WEIGHTED,
     )
@@ -201,7 +203,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     count = int(span) + 1
     grid = [lo + i * step for i in range(count)]
     if args.mc:
-        cfg = _build_mc_config(args, file_values)
+        cfg = _build_mc_config(args, file_values, model.r)
         a_hat, _values = grid_search_threshold(
             model, contract, grid, cfg, workers=_resolve_workers(args, file_values)
         )
@@ -249,7 +251,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.suite in ("analytic", "all"):
         results.extend(analytic_suite(model, contract))
     if args.suite in ("mc", "all"):
-        cfg = _build_mc_config(args, file_values)
+        cfg = _build_mc_config(args, file_values, model.r)
         results.extend(
             mc_suite(model, contract, cfg, workers=_resolve_workers(args, file_values))
         )
@@ -266,29 +268,39 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return _EXIT_OK if failed == 0 else _EXIT_CHECK_FAILED
 
 
+def _csv_num(x: float) -> str:
+    """A CSV cell: 12 significant digits, empty for NaN."""
+    return "" if math.isnan(x) else f"{x:.12g}"
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     model, contract, file_values = _build_model_contract(args)
-    cfg = _build_mc_config(args, file_values)
+    cfg = _build_mc_config(args, file_values, model.r)
     if args.threshold is not None:
         a = args.threshold
     else:
         a = optimal_threshold(basis_for(model), model, contract)
-    traces = collect_traces(
-        model, contract, a, cfg, workers=_resolve_workers(args, file_values)
+    # The CSV carries no return weights, so direct mode's run past the stop
+    # would be wasted: the stop is the same path in both modes.
+    paths = simulate_paths(
+        model, contract, a, replace(cfg, mode=McMode.SURVIVAL_WEIGHTED),
+        workers=_resolve_workers(args, file_values),
     )
     rows = ["path_index,tau,s_tau,crossing_type"]
-    for tr in traces:
-        tau = f"{tr.tau:.12g}" if tr.tau is not None else ""
-        sty = f"{tr.s_tau:.12g}" if tr.s_tau is not None else ""
-        rows.append(f"{tr.path_index},{tau},{sty},{tr.crossing}")
+    rows += [
+        f"{i},{_csv_num(tau)},{_csv_num(s_tau)},{kind}"
+        for i, (tau, s_tau, kind) in enumerate(
+            zip(paths.tau.tolist(), paths.s_tau.tolist(), paths.crossing.tolist())
+        )
+    ]
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(rows) + "\n")
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return _EXIT_IO
-    stopped = sum(1 for tr in traces if tr.tau is not None)
-    print(f"wrote {len(traces)} paths to {args.out} ({stopped} stopped before horizon)")
+    stopped = int((paths.crossing != "none").sum())
+    print(f"wrote {paths.tau.size} paths to {args.out} ({stopped} stopped before horizon)")
     return _EXIT_OK
 
 
@@ -306,7 +318,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths", type=int, help="number of simulated paths")
-    p.add_argument("--horizon", type=float, help="truncation time")
+    p.add_argument("--horizon", type=float, help="truncation time (default: max(200, 10/r))")
     p.add_argument("--seed", type=int, help="stream seed (required)")
     p.add_argument("--mode", choices=("survival", "direct"),
                    help="survival-weighted payoff or direct last-passage indicator")
@@ -347,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("analytic", "mc", "all"), default="analytic")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", help="dump per-path stopping traces as CSV")
+    p = sub.add_parser("simulate", help="per-path stopping times and levels as CSV")
     _add_shared_flags(p)
     _add_mc_flags(p)
     p.add_argument("--threshold", type=float, help="stop level (default: optimal)")

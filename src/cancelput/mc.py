@@ -38,11 +38,6 @@ _FIRST_EVENTS = 16
 # Counter purposes: each yields two uniforms per (event, path).
 _P_NORMAL, _P_CROSS, _P_JUMP, _P_RETURN = 0, 1, 2, 3
 
-# Crossing kinds recorded per path.
-_K_NONE, _K_CREEP, _K_JUMP = 0, 1, 2
-
-_CROSSING_LABEL = {_K_NONE: "none", _K_CREEP: "creep", _K_JUMP: "jump"}
-
 _PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
 _LO32 = np.uint64(0xFFFFFFFF)
@@ -57,7 +52,7 @@ class McMode(enum.Enum):
 @dataclass(frozen=True)
 class McConfig:
     """Simulation knobs.  ``horizon`` must also satisfy horizon >= 10/r,
-    which is checked by the estimators (the rate lives on the model)."""
+    which ``simulate_paths`` checks (the rate lives on the model)."""
 
     n_paths: int
     horizon: float
@@ -80,13 +75,60 @@ class McEstimate:
     n_paths: int
     truncation_bound: float
 
+    @classmethod
+    def from_sample(cls, vals: np.ndarray, truncation_bound: float = 0.0) -> McEstimate:
+        """Mean and standard error of a per-path sample (pairwise summation,
+        so the figures do not depend on how the paths were chunked)."""
+        return cls(
+            mean=float(np.mean(vals)),
+            stderr=float(np.std(vals, ddof=1) / math.sqrt(vals.size)),
+            n_paths=int(vals.size),
+            truncation_bound=truncation_bound,
+        )
+
 
 @dataclass(frozen=True)
-class PathTrace:
-    path_index: int
-    tau: float | None
-    s_tau: float | None
-    crossing: str
+class PolicyPaths:
+    """Per-path outcome of one kernel run of the stop-below-``a`` policy.
+
+    ``tau`` and ``s_tau`` are NaN where the horizon came first, and
+    ``crossing`` holds "none", "creep" or "jump".  In direct mode
+    ``returned`` is each path's weight for returning to the barrier after
+    it stopped: 1 or 0 when the simulation decided it before the horizon,
+    else the exact return probability from the position at the horizon; it
+    is None in survival mode.
+    """
+
+    tau: np.ndarray
+    s_tau: np.ndarray
+    crossing: np.ndarray
+    returned: np.ndarray | None
+    horizon: float
+
+    def value(self, m: ModelParams, c: Contract) -> McEstimate:
+        """Discounted put payoff at the stop, weighted by the survival factor
+        min((h/S_tau)^alpha, 1) in survival mode, by ``returned`` in direct
+        mode; paths the horizon cut pay nothing."""
+        discount = np.exp(-m.r * np.nan_to_num(self.tau, nan=math.inf))
+        s_tau = np.nan_to_num(self.s_tau, nan=c.strike)
+        pay = discount * np.maximum(c.strike - s_tau, 0.0)
+        if self.returned is None:
+            pay = pay * np.minimum((c.barrier / s_tau) ** m.alpha, 1.0)
+        else:
+            pay = pay * self.returned
+        return McEstimate.from_sample(pay, math.exp(-m.r * self.horizon) * c.strike)
+
+    def passage_factors(self, m: ModelParams) -> tuple[McEstimate, McEstimate]:
+        """E[e^{-r tau}] split into creep and jump crossings; paths the
+        horizon cut count in neither, so the two means add up to the
+        discounted passage factor."""
+        discount = np.exp(-m.r * np.nan_to_num(self.tau, nan=math.inf))
+        bound = math.exp(-m.r * self.horizon)
+        creep, jump = (
+            McEstimate.from_sample(np.where(self.crossing == kind, discount, 0.0), bound)
+            for kind in ("creep", "jump")
+        )
+        return creep, jump
 
 
 def _philox4x32(counter, key: tuple[int, int]):
@@ -167,12 +209,14 @@ def _simulate(
     """Simulate paths [lo, hi), each started at x = 0, to their stopping time.
 
     A path stops at its first passage to or below ``b`` (b < 0), or at
-    ``horizon``.  Returns per-path arrays (tau, x, kind, hit): tau is NaN
-    and kind _K_NONE when the horizon comes first, and x is then the
+    ``horizon``.  Returns per-path arrays (tau, x, crossing, hit): tau is
+    NaN and crossing "none" when the horizon comes first, and x is then the
     position at the horizon; a creep records x = b exactly, a jump its
-    landing point.  With ``direct`` each stopped path goes on to the
-    horizon and ``hit`` says whether it returned to ``h`` or above after
-    stopping.  With b = -inf no path stops and x samples X_horizon.
+    landing point.  With ``direct`` each stopped path goes on until it
+    returns to ``h`` or above (hit 1) or the horizon comes; a path still
+    below ``h`` then gets its exact probability of a later return,
+    min(e^{alpha (h - X_horizon)}, 1) by the strong Markov property.  With
+    b = -inf no path stops and x samples X_horizon.
     """
     jumps = m.lam > 0.0
     purposes = [_P_NORMAL, _P_CROSS] + [_P_JUMP] * jumps + [_P_RETURN] * direct
@@ -181,8 +225,8 @@ def _simulate(
     n = hi - lo
     tau = np.full(n, np.nan)
     x_stop = np.zeros(n)
-    kind = np.zeros(n, dtype=np.int8)
-    hit = np.zeros(n, dtype=bool)
+    crossing = np.full(n, "none", dtype="<U5")
+    hit = np.zeros(n)
 
     for first in range(lo, hi, _CAP):
         ids = np.arange(first, min(first + _CAP, hi), dtype=np.uint64)
@@ -238,10 +282,10 @@ def _simulate(
             )
             tau[pos[stops]] = clock[stops, ks[stops] + 1]
             x_stop[pos[stops]] = xj[stops, ks[stops]]
-            kind[pos[stops]] = _K_JUMP
+            crossing[pos[stops]] = "jump"
             tau[pos[cr]] = t0[cr, kc] + s
             x_stop[pos[cr]] = b
-            kind[pos[cr]] = _K_CREEP
+            crossing[pos[cr]] = "creep"
             lost = ~stops & ~after & reached
             x_stop[pos[lost]] = x1[lost, ended[lost].argmax(axis=1)]
 
@@ -256,7 +300,10 @@ def _simulate(
                 with np.errstate(divide="ignore", invalid="ignore"):  # s may round to seg
                     p_rest = _bridge_touch(h - b, h - x1[cr, kc], seg[cr, kc] - s, m.sigma2)
                 returned[cr] |= ua[slot[_P_RETURN]][cr, kc] < p_rest
-                hit[pos[returned]] = True
+                hit[pos[returned]] = 1.0
+                pending = watch & ~returned & reached
+                x_end = x1[pending, ended[pending].argmax(axis=1)]
+                hit[pos[pending]] = np.minimum(np.exp(m.alpha * (h - x_end)), 1.0)
                 done = lost | (watch & (returned | reached))
                 after = watch
             else:
@@ -267,7 +314,7 @@ def _simulate(
             t, x = clock[keep, e], walk[keep, 2 * e]
             event += e
             grow *= 2
-    return tau, x_stop, kind, hit
+    return tau, x_stop, crossing, hit
 
 
 def _chunk_bounds(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
@@ -295,37 +342,17 @@ def _run_paths(
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
-def _policy_paths(
-    m: ModelParams, c: Contract, a: float, cfg: McConfig, direct: bool, workers: int,
-    lo: int = 0, hi: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-path (tau, S_tau, kind, hit) for the stop-below-``a`` policy,
-    over paths [lo, hi) (default: all of ``cfg``'s paths)."""
-    taus, xs, kinds, hits = _run_paths(
-        m, math.log(a / c.spot), math.log(c.barrier / c.spot), cfg.horizon, cfg.seed,
-        lo, cfg.n_paths if hi is None else hi, direct, workers,
-    )
-    stys = np.where(kinds == _K_CREEP, a, c.spot * np.exp(xs))
-    return taus, np.where(kinds == _K_NONE, np.nan, stys), kinds, hits
+def simulate_paths(
+    m: ModelParams, c: Contract, a: float, cfg: McConfig, workers: int = 1
+) -> PolicyPaths:
+    """Run ``cfg``'s paths under the policy that stops at the first passage
+    to or below ``a``, in ``cfg.mode``.
 
-
-def simulate_to_threshold(
-    m: ModelParams, c: Contract, a: float, cfg: McConfig, path_index: int
-) -> tuple[float | None, float | None]:
-    """First time the simulated asset is at or below ``a``, and where it lands.
-
-    Returns (None, None) when the horizon arrives first.  Starting at or
-    below the threshold stops immediately at the spot.
+    Direct mode simulates each stopped path on, to weight its payoff by
+    whether it returns to the barrier (exercise strictly before the last
+    visit); survival mode stops there and leaves the weight to the closed
+    form.
     """
-    if a >= c.spot:
-        return 0.0, c.spot
-    taus, stys, kinds, _hits = _policy_paths(m, c, a, cfg, False, 1, path_index, path_index + 1)
-    if kinds[0] == _K_NONE:
-        return None, None
-    return float(taus[0]), float(stys[0])
-
-
-def _check_estimation_inputs(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> None:
     if not (0.0 < a < min(c.strike, c.spot)):
         raise ConfigError(
             f"threshold must lie in (0, min(strike, spot)), got a={a}"
@@ -335,84 +362,26 @@ def _check_estimation_inputs(m: ModelParams, c: Contract, a: float, cfg: McConfi
             f"horizon {cfg.horizon} too short: need >= 10/r = {10.0 / m.r:g} "
             "so the truncation tail is negligible"
         )
+    direct = cfg.mode is McMode.DIRECT_LAST_PASSAGE
+    tau, x, crossing, hit = _run_paths(
+        m, math.log(a / c.spot), math.log(c.barrier / c.spot), cfg.horizon, cfg.seed,
+        0, cfg.n_paths, direct, workers,
+    )
+    s_tau = np.where(crossing == "creep", a, c.spot * np.exp(x))
+    return PolicyPaths(
+        tau=tau,
+        s_tau=np.where(crossing == "none", np.nan, s_tau),
+        crossing=crossing,
+        returned=hit if direct else None,
+        horizon=cfg.horizon,
+    )
 
 
 def estimate_value(
     m: ModelParams, c: Contract, a: float, cfg: McConfig, workers: int = 1
 ) -> McEstimate:
-    """Estimate the value of the stop-below-``a`` policy.
-
-    Survival-weighted mode stops each path at the threshold and weights the
-    put payoff by the conditional survival factor min((h/S_tau)^alpha, 1).
-    Direct mode instead simulates on, pays the plain put amount, and keeps
-    it only if the path returns to the barrier after stopping (exercise
-    strictly before the last visit).
-    """
-    _check_estimation_inputs(m, c, a, cfg)
-    direct = cfg.mode is McMode.DIRECT_LAST_PASSAGE
-    taus, stys, kinds, hits = _policy_paths(m, c, a, cfg, direct, workers)
-
-    stopped = kinds != _K_NONE
-    discount = np.where(stopped, np.exp(-m.r * np.nan_to_num(taus)), 0.0)
-    intrinsic = np.maximum(c.strike - np.nan_to_num(stys, nan=c.strike), 0.0)
-    if direct:
-        pay = np.where(stopped & hits, discount * intrinsic, 0.0)
-    else:
-        survival = np.minimum(
-            (c.barrier / np.nan_to_num(stys, nan=c.barrier)) ** m.alpha, 1.0
-        )
-        pay = np.where(stopped, discount * intrinsic * survival, 0.0)
-
-    return McEstimate(
-        mean=float(np.mean(pay)),
-        stderr=float(np.std(pay, ddof=1) / math.sqrt(cfg.n_paths)),
-        n_paths=cfg.n_paths,
-        truncation_bound=math.exp(-m.r * cfg.horizon) * c.strike,
-    )
-
-
-def estimate_passage_factors(
-    m: ModelParams, c: Contract, a: float, cfg: McConfig, workers: int = 1
-) -> tuple[McEstimate, McEstimate]:
-    """Split E[e^{-r tau}] by how the threshold was reached.
-
-    Creep counts diffusive crossings, undershoot counts jump crossings;
-    truncated paths contribute zero to both, so the two means add up to the
-    discounted passage factor.
-    """
-    _check_estimation_inputs(m, c, a, cfg)
-    taus, _stys, kinds, _hits = _policy_paths(m, c, a, cfg, False, workers)
-    discount = np.where(kinds != _K_NONE, np.exp(-m.r * np.nan_to_num(taus)), 0.0)
-    bound = math.exp(-m.r * cfg.horizon)
-    out = []
-    for kind_code in (_K_CREEP, _K_JUMP):
-        vals = np.where(kinds == kind_code, discount, 0.0)
-        out.append(
-            McEstimate(
-                mean=float(np.mean(vals)),
-                stderr=float(np.std(vals, ddof=1) / math.sqrt(cfg.n_paths)),
-                n_paths=cfg.n_paths,
-                truncation_bound=bound,
-            )
-        )
-    return out[0], out[1]
-
-
-def collect_traces(
-    m: ModelParams, c: Contract, a: float, cfg: McConfig, workers: int = 1
-) -> list[PathTrace]:
-    """Per-path stopping records (for trace dumps and law checks)."""
-    _check_estimation_inputs(m, c, a, cfg)
-    taus, stys, kinds, _hits = _policy_paths(m, c, a, cfg, False, workers)
-    return [
-        PathTrace(
-            path_index=i,
-            tau=tau if kind != _K_NONE else None,
-            s_tau=sty if kind != _K_NONE else None,
-            crossing=_CROSSING_LABEL[kind],
-        )
-        for i, (tau, sty, kind) in enumerate(zip(taus.tolist(), stys.tolist(), kinds.tolist()))
-    ]
+    """Estimate the value of the stop-below-``a`` policy (see ``PolicyPaths.value``)."""
+    return simulate_paths(m, c, a, cfg, workers).value(m, c)
 
 
 def estimate_discounted_terminal(
@@ -426,16 +395,10 @@ def estimate_discounted_terminal(
     """
     if not (t > 0.0):
         raise ConfigError(f"sampling time must be positive, got t={t}")
-    _taus, xs, _kinds, _hits = _run_paths(
+    _tau, x, _crossing, _hit = _run_paths(
         m, -math.inf, math.inf, t, cfg.seed, 0, cfg.n_paths, False, workers
     )
-    vals = math.exp(-m.r * t) * c.spot * np.exp(xs)
-    return McEstimate(
-        mean=float(np.mean(vals)),
-        stderr=float(np.std(vals, ddof=1) / math.sqrt(cfg.n_paths)),
-        n_paths=cfg.n_paths,
-        truncation_bound=0.0,
-    )
+    return McEstimate.from_sample(math.exp(-m.r * t) * c.spot * np.exp(x))
 
 
 def grid_search_threshold(

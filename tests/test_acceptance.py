@@ -18,9 +18,9 @@ import pytest
 from cancelput.mc import (
     McConfig,
     McMode,
-    collect_traces,
     estimate_value,
     grid_search_threshold,
+    simulate_paths,
 )
 from cancelput.model import laplace_exponent, make_model
 from cancelput.pricer import (
@@ -199,10 +199,8 @@ def test_criterion_08_undershoot_law(jumps):
     t0 = time.perf_counter()
     a = optimal_threshold(b, m, C)
     cfg = McConfig(n_paths=15_000, horizon=200.0, seed=77)
-    traces = collect_traces(m, C, a, cfg)
-    unders = np.array(
-        [math.log(a) - math.log(t.s_tau) for t in traces if t.crossing == "jump"]
-    )
+    paths = simulate_paths(m, C, a, cfg)
+    unders = np.log(a) - np.log(paths.s_tau[paths.crossing == "jump"])
     n = unders.size
     se = float(unders.std(ddof=1)) / math.sqrt(n)
     gap = abs(float(unders.mean()) - 0.5)

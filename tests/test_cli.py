@@ -72,6 +72,18 @@ def test_sigma_flag_squares(capsys):
     assert doc["a_star"] == pytest.approx(50.0, rel=1e-12)
 
 
+def test_negative_sigma_exit_2(tmp_path, capsys):
+    # sigma is squared into sigma2, so a sign error must be caught before that.
+    args = ["price", "--r", "0.05", "--sigma", "-0.4472135955", "--strike", "100",
+            "--barrier", "120", "--spot", "110"]
+    code, doc = run_json(args, capsys)
+    assert code == 2 and doc["error"]["type"] == "InvalidParams"
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("r = 0.05\nsigma = 0\nstrike = 100\nbarrier = 120\nspot = 110\n")
+    code, doc = run_json(["price", "--config", str(cfg)], capsys)
+    assert code == 2 and doc["error"]["type"] == "InvalidParams"
+
+
 def test_invalid_params_exit_2(capsys):
     code, doc = run_json(["price", "--r", "-1", "--sigma2", "0.2",
                           "--strike", "100", "--barrier", "120", "--spot", "110"], capsys)
@@ -255,6 +267,16 @@ def test_simulate_csv(tmp_path, capsys):
     assert "jump" in kinds  # lam=5 makes jump crossings overwhelmingly likely
 
 
+def test_simulate_default_horizon_covers_low_rates(tmp_path, capsys):
+    # The estimators need horizon >= 10/r, so the default must grow past 200.
+    out = tmp_path / "paths.csv"
+    code, _ = run_cli(["simulate", "--r", "0.01", "--sigma2", "0.2", "--strike", "100",
+                       "--barrier", "120", "--spot", "110", "--seed", "1",
+                       "--paths", "200", "--out", str(out)], capsys)
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 201
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     out = tmp_path / "paths.csv"
     code, doc = run_json(["simulate", *JUMPS, "--paths", "150", "--out", str(out)], capsys)
@@ -279,6 +301,21 @@ def test_validate_analytic_suites(capsys):
     assert "PASS" in out and "FAIL" not in out
     code, out = run_cli(["validate", *JUMPS, "--suite", "analytic"], capsys)
     assert code == 0
+
+
+def test_validate_analytic_reports_a_check_it_cannot_evaluate(capsys):
+    # At rho = 0.03 the generator check's quadrature rules disagree; that one
+    # check fails and the other seventeen still print.
+    args = ["validate", *JUMPS, "--suite", "analytic"]
+    args[args.index("--rho") + 1] = "0.03"
+    code, out = run_cli(args, capsys)
+    assert code == 1
+    verdicts = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert len(verdicts) == 18
+    assert [ln for ln in verdicts if ln.startswith("FAIL")] == [
+        ln for ln in verdicts if "generator cross-check" in ln
+    ]
+    assert "17/18 checks passed" in out
 
 
 def test_validate_mc_suite(capsys):

@@ -19,16 +19,16 @@ from cancelput.errors import ConfigError
 from cancelput.mc import (
     McConfig,
     McMode,
-    collect_traces,
     estimate_discounted_terminal,
-    estimate_passage_factors,
     estimate_value,
     grid_search_threshold,
-    simulate_to_threshold,
+    simulate_paths,
 )
 from cancelput.model import ModelParams, make_model
 from cancelput.pricer import Contract
 
+A_STAR_NOJUMP = 50.0
+VALUE_NOJUMP = 21.759706994462224
 A_STAR_JUMPS = 63.18132384302513
 VALUE_JUMPS = 18.989794468567634
 CREEP_JUMPS = 0.09927709796458127
@@ -39,6 +39,26 @@ def _cfg(**kw):
     base = dict(n_paths=400, horizon=200.0, seed=11)
     base.update(kw)
     return McConfig(**base)
+
+
+def _same_paths(p, q) -> bool:
+    """Two path records hold the same numbers bit for bit (NaN equal to NaN)."""
+    return (
+        np.array_equal(p.tau, q.tau, equal_nan=True)
+        and np.array_equal(p.s_tau, q.s_tau, equal_nan=True)
+        and np.array_equal(p.crossing, q.crossing)
+        and (p.returned is None) == (q.returned is None)
+        and (p.returned is None or np.array_equal(p.returned, q.returned))
+        and p.horizon == q.horizon
+    )
+
+
+def _replay(m, c, a, cfg, path):
+    """Path ``path`` of ``cfg`` simulated alone: (tau, x, crossing, hit)."""
+    return mc._run_paths(
+        m, math.log(a / c.spot), math.log(c.barrier / c.spot), cfg.horizon, cfg.seed,
+        path, path + 1, False, 1,
+    )
 
 
 # ------------------------------------------------------------ configuration
@@ -76,27 +96,25 @@ def test_estimator_preconditions(model_jumps, contract):
 # ------------------------------------------------------------- single paths
 
 
-def test_immediate_stop_when_threshold_above_spot(model_jumps, contract):
-    tau, s_tau = simulate_to_threshold(model_jumps, contract, 115.0, _cfg(), 0)
-    assert tau == 0.0 and s_tau == contract.spot
-
-
 def test_single_path_is_reproducible(model_jumps, contract):
     cfg = _cfg()
-    first = simulate_to_threshold(model_jumps, contract, A_STAR_JUMPS, cfg, 7)
-    second = simulate_to_threshold(model_jumps, contract, A_STAR_JUMPS, cfg, 7)
-    assert first == second
-    other = simulate_to_threshold(model_jumps, contract, A_STAR_JUMPS, _cfg(seed=12), 7)
-    assert first != other
+    first = _replay(model_jumps, contract, A_STAR_JUMPS, cfg, 7)
+    second = _replay(model_jumps, contract, A_STAR_JUMPS, cfg, 7)
+    assert [a.tolist() for a in first] == [b.tolist() for b in second]
+    other = _replay(model_jumps, contract, A_STAR_JUMPS, _cfg(seed=12), 7)
+    assert first[0][0] != other[0][0]
 
 
 def test_single_path_replays_its_trace(model_jumps, contract):
     # Counter-based streams: a path simulated alone is the same path as in a batch.
     cfg = _cfg(n_paths=200, seed=4)
-    for t in collect_traces(model_jumps, contract, A_STAR_JUMPS, cfg):
-        assert simulate_to_threshold(model_jumps, contract, A_STAR_JUMPS, cfg, t.path_index) == (
-            t.tau, t.s_tau
-        )
+    batch = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg)
+    for i in range(cfg.n_paths):
+        tau, x, crossing, _hit = _replay(model_jumps, contract, A_STAR_JUMPS, cfg, i)
+        assert crossing[0] == batch.crossing[i]
+        assert np.array_equal(tau, batch.tau[i : i + 1], equal_nan=True)
+        if crossing[0] == "jump":
+            assert contract.spot * np.exp(x[0]) == batch.s_tau[i]
 
 
 def test_deterministic_drift_crossing():
@@ -107,39 +125,32 @@ def test_deterministic_drift_crossing():
     m = ModelParams(r=0.05, sigma2=1e-24, lam=0.0, rho=1.0, mu=-0.05, alpha=-0.5)
     c = Contract(strike=100.0, barrier=120.0, spot=110.0)
     expect = math.log(110.0 / 50.0) / 0.05
-    for path in range(5):
-        tau, s_tau = simulate_to_threshold(m, c, 50.0, _cfg(n_paths=100, seed=3), path)
-        assert tau is not None and abs(tau - expect) <= 1e-9 * expect
-        assert s_tau == 50.0  # diffusive touch is recorded exactly at the level
+    paths = simulate_paths(m, c, 50.0, _cfg(n_paths=100, seed=3))
+    assert np.all(paths.crossing == "creep")
+    assert np.all(np.abs(paths.tau - expect) <= 1e-9 * expect)
+    assert np.all(paths.s_tau == 50.0)  # diffusive touch is recorded exactly at the level
 
 
 def test_trace_structure(model_jumps, contract):
     cfg = _cfg(seed=5)
-    traces = collect_traces(model_jumps, contract, A_STAR_JUMPS, cfg)
-    assert [t.path_index for t in traces] == list(range(cfg.n_paths))
-    for t in traces:
-        if t.crossing == "creep":
-            assert t.s_tau == A_STAR_JUMPS  # continuous touch lands on the level
-        elif t.crossing == "jump":
-            assert t.s_tau is not None and t.s_tau < A_STAR_JUMPS
-            assert t.tau is not None and t.tau > 0.0
-        else:
-            assert t.crossing == "none" and t.tau is None and t.s_tau is None
+    paths = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg)
+    assert paths.tau.shape == paths.s_tau.shape == paths.crossing.shape == (cfg.n_paths,)
+    assert paths.returned is None and paths.horizon == cfg.horizon
+    assert set(paths.crossing.tolist()) <= {"none", "creep", "jump"}
+    creep, jump = paths.crossing == "creep", paths.crossing == "jump"
+    assert np.all(paths.s_tau[creep] == A_STAR_JUMPS)  # continuous touch lands on the level
+    assert np.all(paths.s_tau[jump] < A_STAR_JUMPS) and np.all(paths.tau[jump] > 0.0)
+    none = paths.crossing == "none"
+    assert np.all(np.isnan(paths.tau[none])) and np.all(np.isnan(paths.s_tau[none]))
     # with lam=5 and a 200-year horizon effectively every path stops
-    stopped = sum(1 for t in traces if t.tau is not None)
-    assert stopped == cfg.n_paths
+    assert not none.any()
 
 
 def test_undershoot_is_exponential(model_jumps, contract):
     # Memorylessness: the overshoot below the threshold at a jump crossing
     # is Exp(rho), so its mean is 1/rho = 0.5.
-    cfg = _cfg(seed=5)
-    traces = collect_traces(model_jumps, contract, A_STAR_JUMPS, cfg)
-    unders = [
-        math.log(A_STAR_JUMPS) - math.log(t.s_tau)
-        for t in traces
-        if t.crossing == "jump"
-    ]
+    paths = simulate_paths(model_jumps, contract, A_STAR_JUMPS, _cfg(seed=5))
+    unders = np.log(A_STAR_JUMPS / paths.s_tau[paths.crossing == "jump"])
     assert len(unders) > 200
     se = float(np.std(unders, ddof=1)) / math.sqrt(len(unders))
     assert abs(float(np.mean(unders)) - 0.5) <= 3.0 * se
@@ -148,8 +159,8 @@ def test_undershoot_is_exponential(model_jumps, contract):
 def test_undershoot_law_ks(model_jumps, contract):
     # The whole undershoot law, not only its mean: Kolmogorov-Smirnov
     # against Exp(rho) at the 0.1% level.
-    traces = collect_traces(model_jumps, contract, A_STAR_JUMPS, _cfg(n_paths=20_000, seed=6))
-    unders = [math.log(A_STAR_JUMPS / t.s_tau) for t in traces if t.crossing == "jump"]
+    paths = simulate_paths(model_jumps, contract, A_STAR_JUMPS, _cfg(n_paths=20_000, seed=6))
+    unders = np.log(A_STAR_JUMPS / paths.s_tau[paths.crossing == "jump"])
     assert len(unders) > 15_000
     assert stats.kstest(unders, "expon", args=(0.0, 0.5)).pvalue > 1e-3
 
@@ -159,8 +170,7 @@ def test_first_passage_law_without_jumps(model_nojump, contract):
     # Gaussian draw; its law must match the Brownian first-passage CDF
     # P(tau <= t) = Phi((b - mu t)/(sigma sqrt t)) + e^{2 mu b / sigma^2} Phi((b + mu t)/(sigma sqrt t)).
     m, n = model_nojump, 20_000
-    traces = collect_traces(m, contract, 50.0, _cfg(n_paths=n, seed=8))
-    taus = np.array([t.tau if t.tau is not None else math.inf for t in traces])
+    taus = np.nan_to_num(simulate_paths(m, contract, 50.0, _cfg(n_paths=n, seed=8)).tau, nan=math.inf)
     b, sig = math.log(50.0 / contract.spot), math.sqrt(m.sigma2)
     for t in (1.0, 5.0, 20.0):
         p = stats.norm.cdf((b - m.mu * t) / (sig * math.sqrt(t))) + math.exp(
@@ -187,14 +197,16 @@ def test_survival_estimate_brackets_closed_form(model_jumps, contract):
 
 def test_passage_factor_estimates(model_jumps, contract):
     cfg = McConfig(n_paths=2000, horizon=200.0, seed=11)
-    creep, under = estimate_passage_factors(model_jumps, contract, A_STAR_JUMPS, cfg)
+    creep, under = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg).passage_factors(
+        model_jumps
+    )
     assert abs(creep.mean - CREEP_JUMPS) <= 3.0 * creep.stderr + 0.01
     assert abs(under.mean - UNDER_JUMPS) <= 3.0 * under.stderr + 0.01
 
 
 def test_no_jumps_means_no_undershoot(model_nojump, contract):
     cfg = _cfg(n_paths=200, seed=2)
-    creep, under = estimate_passage_factors(model_nojump, contract, 50.0, cfg)
+    creep, under = simulate_paths(model_nojump, contract, 50.0, cfg).passage_factors(model_nojump)
     assert under.mean == 0.0 and under.stderr == 0.0
     assert creep.mean > 0.0
 
@@ -205,6 +217,18 @@ def test_direct_mode_runs(model_jumps, contract):
     # crude band: direct mode at 150 paths is noisy but must be in the
     # right neighbourhood of the closed form
     assert abs(est.mean - VALUE_JUMPS) <= 4.0 * est.stderr + est.truncation_bound
+
+
+def test_direct_mode_counts_returns_after_the_horizon(model_nojump, contract):
+    # A path that stopped but is still below h at the horizon returns later
+    # with probability min(e^{alpha (log(h/s0) - X_H)}, 1).  Paying it nothing
+    # left the estimate 0.9% low, about 4.7 standard errors at this size.
+    cfg = McConfig(n_paths=200_000, horizon=200.0, seed=5, mode=McMode.DIRECT_LAST_PASSAGE)
+    est = estimate_value(model_nojump, contract, A_STAR_NOJUMP, cfg)
+    assert abs(est.mean - VALUE_NOJUMP) <= 3.0 * est.stderr + est.truncation_bound
+    paths = simulate_paths(model_nojump, contract, A_STAR_NOJUMP, _cfg(seed=5, mode=cfg.mode))
+    assert np.all((paths.returned >= 0.0) & (paths.returned <= 1.0))
+    assert np.any((paths.returned > 0.0) & (paths.returned < 1.0))
 
 
 def test_discounted_terminal_martingale(model_jumps, contract):
@@ -228,10 +252,12 @@ def test_estimates_bit_identical_across_workers(model_jumps, contract):
 
 
 def test_traces_bit_identical_across_workers(model_jumps, contract):
-    cfg = _cfg(n_paths=200, seed=17)
-    t1 = collect_traces(model_jumps, contract, A_STAR_JUMPS, cfg, workers=1)
-    for workers in (2, 3):
-        assert collect_traces(model_jumps, contract, A_STAR_JUMPS, cfg, workers=workers) == t1
+    for mode in McMode:
+        cfg = _cfg(n_paths=200, seed=17, mode=mode)
+        one = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=1)
+        for workers in (2, 3):
+            many = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=workers)
+            assert _same_paths(many, one)
 
 
 @pytest.mark.parametrize("cap, first_events", [(64, 1), (7, 3), (1, 1)])
@@ -239,18 +265,18 @@ def test_traces_identical_across_event_blocks(model_jumps, contract, monkeypatch
     # A kernel step draws a block of events per path, sized by the number of
     # paths still active; the per-path results must not depend on it.
     cfg = _cfg(n_paths=300, seed=17)
-    ref = collect_traces(model_jumps, contract, A_STAR_JUMPS, cfg)
+    ref = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg)
     monkeypatch.setattr(mc, "_CAP", cap)
     monkeypatch.setattr(mc, "_FIRST_EVENTS", first_events)
-    assert collect_traces(model_jumps, contract, A_STAR_JUMPS, cfg) == ref
+    assert _same_paths(simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg), ref)
 
 
 def test_direct_mode_identical_across_event_blocks(model_jumps, contract, monkeypatch):
     cfg = _cfg(n_paths=100, seed=19, mode=McMode.DIRECT_LAST_PASSAGE)
-    ref = estimate_value(model_jumps, contract, A_STAR_JUMPS, cfg)
+    ref = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg)
     monkeypatch.setattr(mc, "_CAP", 64)
     monkeypatch.setattr(mc, "_FIRST_EVENTS", 1)
-    assert estimate_value(model_jumps, contract, A_STAR_JUMPS, cfg) == ref
+    assert _same_paths(simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg), ref)
 
 
 @pytest.mark.parametrize(
