@@ -2,6 +2,8 @@
 visit to a barrier above the strike, under a jump-diffusion with downward
 exponential jumps.  Closed forms throughout, with a Monte Carlo oracle."""
 
+import importlib
+
 from .errors import (
     BranchError,
     CancelPutError,
@@ -42,17 +44,36 @@ from .pricer import (
     undershoot_factor,
     value_at_threshold,
 )
-from .mc import (
-    McConfig,
-    McEstimate,
-    McMode,
-    PolicyPaths,
-    estimate_discounted_terminal,
-    estimate_value,
-    grid_search_threshold,
-    simulate_paths,
-)
-from .diagnostics import CheckResult, analytic_suite, mc_suite
+
+# The Monte Carlo and diagnostics layers need numpy; the closed forms above
+# do not.  Their names resolve on first access (PEP 562), so importing the
+# package and quoting stay on the standard library.
+_LAZY = {
+    "McConfig": "mc",
+    "McEstimate": "mc",
+    "McMode": "mc",
+    "PolicyPaths": "mc",
+    "estimate_discounted_terminal": "mc",
+    "estimate_value": "mc",
+    "grid_search_threshold": "mc",
+    "simulate_paths": "mc",
+    "CheckResult": "diagnostics",
+    "analytic_suite": "diagnostics",
+    "mc_suite": "diagnostics",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,9 @@
-"""Command-line front end: price, threshold, curve, validate, simulate."""
+"""Command-line front end: price, threshold, curve, validate, simulate.
+
+The closed-form commands run on the standard library alone; the Monte
+Carlo and diagnostics layers (and with them numpy) are imported inside the
+commands that use them.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +13,15 @@ import json
 import math
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from .diagnostics import analytic_suite, mc_suite
 from .errors import CancelPutError, ConfigError, InvalidParams
-from .mc import McConfig, McMode, grid_search_threshold, simulate_paths
 from .model import make_model
 from .pricer import Contract, g_payoff, optimal_threshold, price, value_at_threshold
 from .scale import basis_for
+
+if TYPE_CHECKING:
+    from .mc import McConfig
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -102,6 +109,8 @@ def _build_model_contract(args: argparse.Namespace):
 def _build_mc_config(
     args: argparse.Namespace, file_values: dict[str, str], r: float
 ) -> McConfig:
+    from .mc import McConfig, McMode
+
     paths = _merged(args, "paths", int, file_values)
     horizon = _merged(args, "horizon", float, file_values)
     seed = _merged(args, "seed", int, file_values)
@@ -202,6 +211,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         )
     count = int(span) + 1
     grid = [lo + i * step for i in range(count)]
+    from .mc import grid_search_threshold
+
     if args.mc:
         cfg = _build_mc_config(args, file_values, model.r)
         a_hat, _values = grid_search_threshold(
@@ -246,6 +257,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .diagnostics import analytic_suite, mc_suite
+
     model, contract, file_values = _build_model_contract(args)
     results = []
     if args.suite in ("analytic", "all"):
@@ -274,6 +287,8 @@ def _csv_num(x: float) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .mc import McMode, simulate_paths
+
     model, contract, file_values = _build_model_contract(args)
     cfg = _build_mc_config(args, file_values, model.r)
     if args.threshold is not None:

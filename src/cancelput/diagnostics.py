@@ -167,14 +167,16 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
         worst_dom = max(worst_dom, g_payoff(m, c, float(s)) - v)
     out.append(_check("value dominates the payoff", worst_dom, 1e-9))
 
-    n_hjb = 10**4
-    grid = a_star * (np.arange(1, n_hjb + 1) / (n_hjb + 1))
-    worst_h = max(h_function(m, c, float(s)) for s in grid)
+    # h_function(s) = (h/s)^alpha (delta*s - r*K) with (h/s)^alpha > 0, so on
+    # (0, a*) it has the sign of a line that starts at -r*K: negative
+    # throughout iff delta*a* - r*K < 0.  That end value is reported, not
+    # h_function(a*), whose factor (h/a*)^alpha says nothing of the sign.
+    drift_end = h_function(m, c, a_star) * (a_star / c.barrier) ** m.alpha
     out.append(
         CheckResult(
             "drift of discounted payoff negative below the threshold",
-            worst_h < 0.0,
-            worst_h,
+            drift_end < 0.0,
+            drift_end,
             0.0,
         )
     )

@@ -34,6 +34,8 @@ from . import pricer
 _CAP = 1 << 12
 #: Events drawn per path in a chunk's first step; doubles every step.
 _FIRST_EVENTS = 16
+#: Most worker processes one run may ask for; more is a ConfigError.
+_MAX_WORKERS = 64
 
 # Counter purposes: each yields two uniforms per (event, path).
 _P_NORMAL, _P_CROSS, _P_JUMP, _P_RETURN = 0, 1, 2, 3
@@ -324,9 +326,11 @@ def _chunk_bounds(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _map_chunks(fn, payloads: list, workers: int) -> list:
+    if workers > _MAX_WORKERS:
+        raise ConfigError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
     if workers <= 1 or len(payloads) <= 1:
         return [fn(*p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(fn, *zip(*payloads)))
 
 

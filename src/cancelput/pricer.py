@@ -25,8 +25,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .errors import (
     BranchError,
     DomainError,
@@ -291,7 +289,13 @@ def _d2_ladder(f: Callable[[float], float], s: float) -> float:
     return (4.0 * g[1] - g[0]) / 3.0
 
 
-_laguerre = functools.lru_cache(maxsize=None)(np.polynomial.laguerre.laggauss)
+@functools.cache
+def _laguerre(n: int):
+    """Nodes and weights of the n-node Gauss-Laguerre rule.  numpy loads here,
+    on first use, so the closed forms above never import it."""
+    import numpy as np
+
+    return np.polynomial.laguerre.laggauss(n)
 
 
 def _jump_mean(m: ModelParams, f: Callable[[float], float], s: float, n: int):
@@ -303,6 +307,8 @@ def _jump_mean(m: ModelParams, f: Callable[[float], float], s: float, n: int):
     the payoff's variation is not crowded against u = 0.  Nodes whose landing
     point underflows to zero (y beyond about 745 + ln s) are left out.
     """
+    import numpy as np
+
     beta = math.sqrt(m.rho * (m.rho + 2.0))
     u, w = _laguerre(n)
     landing = (s * np.exp(-u / beta)).tolist()

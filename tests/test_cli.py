@@ -292,6 +292,18 @@ def test_simulate_deterministic_across_workers(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_workers_limit_exit_2(tmp_path, capsys, monkeypatch):
+    from cancelput import mc
+
+    started = []
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
+    code, doc = run_json(["simulate", *JUMPS, "--paths", "5000", "--seed", "1",
+                          "--workers", "5000", "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert "at most 64" in doc["error"]["message"]
+    assert started == []
+
+
 # ---------------------------------------------------------------- validate
 
 
@@ -336,6 +348,117 @@ def test_validate_invalid_contract_fails_before_suite(capsys):
     code, doc = run_json(args, capsys)
     assert code == 2
     assert doc["error"]["type"] == "InvalidParams"
+
+
+# ------------------------------------------------------------ pinned bytes
+
+# Closed-form stdout and CSV, byte for byte at 12 significant digits: any
+# change to the numbers or the layout of price, threshold or curve fails here.
+EXERCISE = [*BASE[:-1], "40"]
+PINNED_STDOUT = {
+    "price-base": (["price", *BASE], """\
+{
+  "a_star": 50.0,
+  "value": 21.7597069945,
+  "creeping_factor": 0.674199862463,
+  "undershoot_factor": 0.0,
+  "region": "Continuation",
+  "params_echo": {
+    "r": 0.05,
+    "sigma2": 0.2,
+    "lambda": 0.0,
+    "rho": 1.0,
+    "mu": -0.05,
+    "alpha": -0.5,
+    "strike": 100.0,
+    "barrier": 120.0,
+    "spot": 110.0
+  }
+}
+"""),
+    "price-jumps": (["price", *JUMPS], """\
+{
+  "a_star": 63.181323843,
+  "value": 18.9897944686,
+  "creeping_factor": 0.0992770979646,
+  "undershoot_factor": 0.849317938732,
+  "region": "Continuation",
+  "params_echo": {
+    "r": 0.05,
+    "sigma2": 0.2,
+    "lambda": 5.0,
+    "rho": 2.0,
+    "mu": 1.61666666667,
+    "alpha": -0.925343457887,
+    "strike": 100.0,
+    "barrier": 120.0,
+    "spot": 110.0
+  }
+}
+"""),
+    "price-exercise": (["price", *EXERCISE], """\
+{
+  "a_star": 50.0,
+  "value": 34.6410161514,
+  "creeping_factor": 1.0,
+  "undershoot_factor": 0.0,
+  "region": "Exercise",
+  "params_echo": {
+    "r": 0.05,
+    "sigma2": 0.2,
+    "lambda": 0.0,
+    "rho": 1.0,
+    "mu": -0.05,
+    "alpha": -0.5,
+    "strike": 100.0,
+    "barrier": 120.0,
+    "spot": 40.0
+  }
+}
+"""),
+    "threshold-jumps": (["threshold", *JUMPS], """\
+{
+  "a_star": 63.181323843,
+  "method": "closed-form",
+  "params_echo": {
+    "r": 0.05,
+    "sigma2": 0.2,
+    "lambda": 5.0,
+    "rho": 2.0,
+    "mu": 1.61666666667,
+    "alpha": -0.925343457887,
+    "strike": 100.0,
+    "barrier": 120.0,
+    "spot": 110.0
+  }
+}
+"""),
+}
+PINNED_CURVE = """\
+s,payoff,value
+40,21.7095198726,21.7095198726
+60,21.0622059088,21.0622059088
+80,13.7431124841,19.3174554118
+100,0,19.0848218353
+120,0,18.903530699
+140,0,18.751689785
+160,0,18.6211482365
+180,0,18.506757109
+200,0,18.4050263477
+"""
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STDOUT))
+def test_closed_form_stdout_is_pinned(case, capsys):
+    argv, expect = PINNED_STDOUT[case]
+    assert run_cli(argv, capsys) == (0, expect)
+
+
+def test_curve_csv_is_pinned(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    argv = ["curve", *JUMPS, "--smin", "40", "--smax", "200", "--points", "9", "--out", str(out)]
+    assert run_cli(argv, capsys) == (0, "")
+    assert out.read_bytes() == PINNED_CURVE.encode()
 
 
 # ------------------------------------------------------------- entry point
@@ -383,6 +506,46 @@ def test_price_does_not_import_scipy():
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["a_star"] == pytest.approx(63.18132384302513, rel=1e-9)
+
+
+def test_closed_form_commands_do_not_import_numpy(tmp_path):
+    # numpy serves only the Monte Carlo and diagnostics layers: importing the
+    # package and the closed-form commands must not load it, and the lazy
+    # names must load it on first use.
+    code = (
+        "import contextlib, io, sys\n"
+        "import cancelput\n"
+        "from cancelput import cli\n"
+        "assert 'numpy' not in sys.modules, 'imported by the package'\n"
+        "flags, out = sys.argv[1:-1], sys.argv[-1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['price', *flags]) == 0\n"
+        "    assert cli.main(['threshold', *flags]) == 0\n"
+        "    assert cli.main(['curve', *flags, '--smin', '10', '--smax', '200',\n"
+        "                     '--points', '40', '--out', out]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'imported by a command'\n"
+        "assert {'McConfig', 'mc_suite', 'simulate_paths'} <= set(dir(cancelput))\n"
+        "from cancelput import McConfig\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert McConfig is sys.modules['cancelput.mc'].McConfig\n"
+        "missing = [n for n in cancelput.__all__ if not hasattr(cancelput, n)]\n"
+        "assert not missing, missing\n"
+        "assert set(cancelput.__all__) <= set(dir(cancelput))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code, *JUMPS, str(tmp_path / "c.csv")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_resolves_every_name():
+    namespace: dict = {}
+    exec("from cancelput import *", namespace)
+    import cancelput
+
+    assert set(cancelput.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        cancelput.no_such_name  # noqa: B018
 
 
 def test_console_script_runs():

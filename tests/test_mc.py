@@ -251,6 +251,48 @@ def test_estimates_bit_identical_across_workers(model_jumps, contract):
     assert one.stderr == two.stderr
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool.sizes
+
+
+def test_pool_never_exceeds_the_chunk_count(model_jumps, contract, recording_pool):
+    # 100 paths over 64 workers make 50 chunks of two paths: 50 processes, not 64.
+    cfg = _cfg(n_paths=100, seed=17)
+    many = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=mc._MAX_WORKERS)
+    assert recording_pool == [50]
+    assert _same_paths(many, simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg))
+
+
+def test_workers_above_the_limit_are_refused(model_jumps, contract, recording_pool):
+    cfg = _cfg(n_paths=5000, seed=17)
+    with pytest.raises(ConfigError, match="at most 64"):
+        simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=mc._MAX_WORKERS + 1)
+    with pytest.raises(ConfigError):
+        estimate_discounted_terminal(model_jumps, contract, 1.0, cfg, workers=5000)
+    assert recording_pool == []
+
+
 def test_traces_bit_identical_across_workers(model_jumps, contract):
     for mode in McMode:
         cfg = _cfg(n_paths=200, seed=17, mode=mode)

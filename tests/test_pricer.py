@@ -347,6 +347,20 @@ def test_h_negative_below_strike(model_jumps, contract):
         assert h_function(model_jumps, contract, float(s)) < 0.0
 
 
+def test_drift_check_reports_the_line_at_the_threshold(model_nojump, model_jumps, contract):
+    # h has the sign of delta*s - r*K on (0, a*), so the suite's drift check
+    # reports that line's value at a*, with delta = r - psi(1 - alpha).
+    from cancelput.diagnostics import analytic_suite
+
+    for m, a_star in ((model_nojump, 50.0), (model_jumps, 63.18132384302513)):
+        (check,) = [
+            res for res in analytic_suite(m, contract) if res.name.startswith("drift")
+        ]
+        delta = m.r - laplace_exponent(m, 1.0 - m.alpha)
+        assert check.observed == pytest.approx(delta * a_star - m.r * 100.0, rel=1e-9)
+        assert check.passed and check.bound == 0.0
+
+
 def test_h_domain(model_jumps, contract):
     with pytest.raises(DomainError):
         h_function(model_jumps, contract, 100.0)
