@@ -25,7 +25,6 @@ from .scale import (
     build_scale_basis,
     build_scale_basis_bs,
     w_r,
-    w_r_prime,
     z_r,
 )
 from .pricer import (
@@ -38,6 +37,7 @@ from .pricer import (
     g_integral,
     g_payoff,
     generator_apply,
+    grid_search_threshold,
     h_function,
     optimal_threshold,
     price,
@@ -55,7 +55,6 @@ _LAZY = {
     "PolicyPaths": "mc",
     "estimate_discounted_terminal": "mc",
     "estimate_value": "mc",
-    "grid_search_threshold": "mc",
     "simulate_paths": "mc",
     "CheckResult": "diagnostics",
     "analytic_suite": "diagnostics",
@@ -123,6 +122,5 @@ __all__ = [
     "undershoot_factor",
     "value_at_threshold",
     "w_r",
-    "w_r_prime",
     "z_r",
 ]

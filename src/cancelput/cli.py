@@ -17,7 +17,14 @@ from typing import TYPE_CHECKING
 
 from .errors import CancelPutError, ConfigError, InvalidParams
 from .model import make_model
-from .pricer import Contract, g_payoff, optimal_threshold, price, value_at_threshold
+from .pricer import (
+    Contract,
+    g_payoff,
+    grid_search_threshold,
+    optimal_threshold,
+    price,
+    value_at_threshold,
+)
 from .scale import basis_for
 
 if TYPE_CHECKING:
@@ -211,8 +218,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         )
     count = int(span) + 1
     grid = [lo + i * step for i in range(count)]
-    from .mc import grid_search_threshold
-
     if args.mc:
         cfg = _build_mc_config(args, file_values, model.r)
         a_hat, _values = grid_search_threshold(

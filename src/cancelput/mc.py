@@ -27,8 +27,6 @@ import numpy as np
 from .errors import ConfigError
 from .model import ModelParams
 from .pricer import Contract
-from .scale import basis_for
-from . import pricer
 
 #: Path-events per kernel step; bounds every temporary array.
 _CAP = 1 << 12
@@ -36,6 +34,9 @@ _CAP = 1 << 12
 _FIRST_EVENTS = 16
 #: Most worker processes one run may ask for; more is a ConfigError.
 _MAX_WORKERS = 64
+#: Direct mode finishes a stopped path at the first jump that lands where
+#: its exact return probability e^{alpha (h - x)} is below this (0: never).
+_RETURN_EPS = 1e-9
 
 # Counter purposes: each yields two uniforms per (event, path).
 _P_NORMAL, _P_CROSS, _P_JUMP, _P_RETURN = 0, 1, 2, 3
@@ -96,9 +97,10 @@ class PolicyPaths:
     ``tau`` and ``s_tau`` are NaN where the horizon came first, and
     ``crossing`` holds "none", "creep" or "jump".  In direct mode
     ``returned`` is each path's weight for returning to the barrier after
-    it stopped: 1 or 0 when the simulation decided it before the horizon,
-    else the exact return probability from the position at the horizon; it
-    is None in survival mode.
+    it stopped: 1 when the simulation saw the return, else the exact return
+    probability from where the simulation left the path, either at the
+    first jump that took that probability below ``_RETURN_EPS`` or at the
+    horizon (0 for a path that never stopped); it is None in survival mode.
     """
 
     tau: np.ndarray
@@ -215,16 +217,22 @@ def _simulate(
     NaN and crossing "none" when the horizon comes first, and x is then the
     position at the horizon; a creep records x = b exactly, a jump its
     landing point.  With ``direct`` each stopped path goes on until it
-    returns to ``h`` or above (hit 1) or the horizon comes; a path still
-    below ``h`` then gets its exact probability of a later return,
-    min(e^{alpha (h - X_horizon)}, 1) by the strong Markov property.  With
-    b = -inf no path stops and x samples X_horizon.
+    returns to ``h`` or above (hit 1), a jump lands it at X with
+    e^{alpha (h - X)} < _RETURN_EPS, or the horizon comes.  In the last two
+    cases hit is the exact probability of a later return from where the
+    path is, min(e^{alpha (h - X)}, 1): without upward jumps the process
+    reaches h from X with that probability (strong Markov property).  The
+    early finish is decided jump by jump, so it does not depend on how many
+    events a step draws.  With b = -inf no path stops and x samples
+    X_horizon.
     """
     jumps = m.lam > 0.0
     purposes = [_P_NORMAL, _P_CROSS] + [_P_JUMP] * jumps + [_P_RETURN] * direct
     slot = {p: i for i, p in enumerate(purposes)}
     sig = math.sqrt(m.sigma2)
     n = hi - lo
+    # A stopped path landing below ``floor`` returns with probability < eps.
+    floor = h - math.log(_RETURN_EPS) / m.alpha if _RETURN_EPS > 0.0 else -math.inf
     tau = np.full(n, np.nan)
     x_stop = np.zeros(n)
     crossing = np.full(n, "none", dtype="<U5")
@@ -294,19 +302,30 @@ def _simulate(
             if direct:
                 # Return to h after the stop: the rest of a crept segment is a
                 # bridge from b to its endpoint; later segments are whole.
+                # Every jump from the stop on, the stopping one included, may
+                # sink the path below the floor.  A segment's return comes
+                # before the jump that ends it; the first event decides.
                 watch = after | stops
-                start = np.where(after, -1, ks)
+                start = np.where(after, -1, ks)[:, None]
+                epoch = np.arange(e)
                 back = ua[slot[_P_RETURN]] < _bridge_touch(h - x0, h - x1, seg, m.sigma2)
-                back &= alive & (np.arange(e) > start[:, None]) & watch[:, None]
-                returned = back.any(axis=1)
+                back &= alive & (epoch > start) & watch[:, None]
                 with np.errstate(divide="ignore", invalid="ignore"):  # s may round to seg
                     p_rest = _bridge_touch(h - b, h - x1[cr, kc], seg[cr, kc] - s, m.sigma2)
-                returned[cr] |= ua[slot[_P_RETURN]][cr, kc] < p_rest
-                hit[pos[returned]] = 1.0
-                pending = watch & ~returned & reached
+                back[cr, kc] = ua[slot[_P_RETURN]][cr, kc] < p_rest
+                happened = np.empty((k, 2 * e), dtype=bool)  # return, then jump
+                happened[:, 0::2] = back
+                happened[:, 1::2] = alive & fires & (epoch >= start) & (xj < floor)
+                happened &= watch[:, None]
+                first = happened.argmax(axis=1)
+                decided = happened.any(axis=1)
+                hit[pos[decided & (first % 2 == 0)]] = 1.0
+                sunk = np.flatnonzero(decided & (first % 2 == 1))
+                hit[pos[sunk]] = np.exp(m.alpha * (h - xj[sunk, first[sunk] // 2]))
+                pending = watch & ~decided & reached
                 x_end = x1[pending, ended[pending].argmax(axis=1)]
                 hit[pos[pending]] = np.minimum(np.exp(m.alpha * (h - x_end)), 1.0)
-                done = lost | (watch & (returned | reached))
+                done = lost | (watch & (decided | reached))
                 after = watch
             else:
                 done = stops | lost
@@ -403,34 +422,3 @@ def estimate_discounted_terminal(
         m, -math.inf, math.inf, t, cfg.seed, 0, cfg.n_paths, False, workers
     )
     return McEstimate.from_sample(math.exp(-m.r * t) * c.spot * np.exp(x))
-
-
-def grid_search_threshold(
-    m: ModelParams,
-    c: Contract,
-    a_grid,
-    cfg: McConfig | None = None,
-    workers: int = 1,
-) -> tuple[float, list[float]]:
-    """Argmax of the policy value over candidate thresholds.
-
-    Closed-form evaluation without ``cfg``; with it every grid point is
-    estimated by simulation from the same seed, so the comparison rides on
-    common random numbers and the argmax is not noise-dominated.
-    """
-    grid = [float(a) for a in a_grid]
-    if not grid:
-        raise ConfigError("threshold grid is empty")
-    if any(not (0.0 < a < c.strike) for a in grid):
-        raise ConfigError("threshold grid must lie inside (0, strike)")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("threshold grid must be strictly increasing")
-
-    if cfg is not None:
-        values = [estimate_value(m, c, a, cfg, workers=workers).mean for a in grid]
-    else:
-        basis = basis_for(m)
-        values = [
-            pricer.value_at_threshold(basis, m, c, c.spot, a) for a in grid
-        ]
-    return grid[int(np.argmax(values))], values

@@ -23,10 +23,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import (
     BranchError,
+    ConfigError,
     DomainError,
     InconsistentBasis,
     InvalidParams,
@@ -35,7 +36,10 @@ from .errors import (
     ThresholdOutOfRange,
 )
 from .model import ModelParams
-from .scale import ScaleBasis, build_scale_basis_bs
+from .scale import ScaleBasis, basis_for, build_scale_basis_bs
+
+if TYPE_CHECKING:
+    from .mc import McConfig
 
 #: Allowed numerical excursion outside [0, 1] before a factor clamp warns.
 _CLAMP_TOL = 1e-10
@@ -252,6 +256,41 @@ def price(b: ScaleBasis, m: ModelParams, c: Contract) -> PriceReport:
         g_integral=g_int,
         region=Region.CONTINUATION,
     )
+
+
+def grid_search_threshold(
+    m: ModelParams,
+    c: Contract,
+    a_grid,
+    cfg: McConfig | None = None,
+    workers: int = 1,
+) -> tuple[float, list[float]]:
+    """Argmax of the policy value over candidate thresholds (the first, on ties).
+
+    Closed-form evaluation without ``cfg``; with it every grid point is
+    estimated by simulation from the same seed, so the comparison rides on
+    common random numbers and the argmax is not noise-dominated.
+    """
+    grid = [float(a) for a in a_grid]
+    if not grid:
+        raise ConfigError("threshold grid is empty")
+    if any(not (0.0 < a < c.strike) for a in grid):
+        raise ConfigError("threshold grid must lie inside (0, strike)")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("threshold grid must be strictly increasing")
+
+    if cfg is not None:
+        if grid[-1] >= c.spot:
+            raise ConfigError(
+                f"a simulated threshold grid must lie below the spot {c.spot}, got {grid[-1]}"
+            )
+        from .mc import estimate_value
+
+        values = [estimate_value(m, c, a, cfg, workers=workers).mean for a in grid]
+    else:
+        basis = basis_for(m)
+        values = [value_at_threshold(basis, m, c, c.spot, a) for a in grid]
+    return grid[values.index(max(values))], values
 
 
 def h_function(m: ModelParams, c: Contract, s: float) -> float:

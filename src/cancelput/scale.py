@@ -173,16 +173,6 @@ def w_r(b: ScaleBasis, x: float) -> float:
     return math.exp(min(x, _MAX_EXP_ARG)) * acc
 
 
-def w_r_prime(b: ScaleBasis, x: float) -> float:
-    """dW/dx at ``x``; zero for ``x < 0`` (left limit is out of contract)."""
-    if x < 0.0:
-        return 0.0
-    acc = 0.0
-    for ei, ci in zip(b.eta, b.c):
-        acc += ci * ei * math.exp(min((ei - 1.0) * x, _MAX_EXP_ARG))
-    return math.exp(min(x, _MAX_EXP_ARG)) * acc
-
-
 def z_r(b: ScaleBasis, m: ModelParams, x: float) -> float:
     """Z at ``x``: 1 + r * integral of W from 0 to x; one for ``x < 0``."""
     if x < 0.0:

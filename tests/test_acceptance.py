@@ -19,7 +19,6 @@ from cancelput.mc import (
     McConfig,
     McMode,
     estimate_value,
-    grid_search_threshold,
     simulate_paths,
 )
 from cancelput.model import laplace_exponent, make_model
@@ -28,6 +27,7 @@ from cancelput.pricer import (
     bs_reference,
     g_payoff,
     generator_apply,
+    grid_search_threshold,
     h_function,
     optimal_threshold,
     price,

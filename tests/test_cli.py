@@ -353,8 +353,10 @@ def test_validate_invalid_contract_fails_before_suite(capsys):
 # ------------------------------------------------------------ pinned bytes
 
 # Closed-form stdout and CSV, byte for byte at 12 significant digits: any
-# change to the numbers or the layout of price, threshold or curve fails here.
+# change to the numbers or the layout of price, threshold (with or without a
+# grid) or curve fails here.
 EXERCISE = [*BASE[:-1], "40"]
+GRID = ["--grid-min", "40", "--grid-max", "80", "--grid-step", "0.5"]
 PINNED_STDOUT = {
     "price-base": (["price", *BASE], """\
 {
@@ -427,6 +429,52 @@ PINNED_STDOUT = {
     "rho": 2.0,
     "mu": 1.61666666667,
     "alpha": -0.925343457887,
+    "strike": 100.0,
+    "barrier": 120.0,
+    "spot": 110.0
+  }
+}
+"""),
+    "threshold-grid-jumps": (["threshold", *JUMPS, *GRID], """\
+{
+  "a_star": 63.0,
+  "method": "grid-closed-form",
+  "grid": {
+    "min": 40.0,
+    "max": 80.0,
+    "step": 0.5,
+    "points": 81
+  },
+  "params_echo": {
+    "r": 0.05,
+    "sigma2": 0.2,
+    "lambda": 5.0,
+    "rho": 2.0,
+    "mu": 1.61666666667,
+    "alpha": -0.925343457887,
+    "strike": 100.0,
+    "barrier": 120.0,
+    "spot": 110.0
+  }
+}
+"""),
+    "threshold-grid-base": (["threshold", *BASE, "--grid-step", "2.5"], """\
+{
+  "a_star": 50.0,
+  "method": "grid-closed-form",
+  "grid": {
+    "min": 2.5,
+    "max": 97.5,
+    "step": 2.5,
+    "points": 39
+  },
+  "params_echo": {
+    "r": 0.05,
+    "sigma2": 0.2,
+    "lambda": 0.0,
+    "rho": 1.0,
+    "mu": -0.05,
+    "alpha": -0.5,
     "strike": 100.0,
     "barrier": 120.0,
     "spot": 110.0
@@ -521,6 +569,8 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['price', *flags]) == 0\n"
         "    assert cli.main(['threshold', *flags]) == 0\n"
+        "    assert cli.main(['threshold', *flags, '--grid-min', '40', '--grid-max', '80',\n"
+        "                     '--grid-step', '0.5']) == 0\n"
         "    assert cli.main(['curve', *flags, '--smin', '10', '--smax', '200',\n"
         "                     '--points', '40', '--out', out]) == 0\n"
         "assert 'numpy' not in sys.modules, 'imported by a command'\n"

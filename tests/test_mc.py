@@ -21,11 +21,10 @@ from cancelput.mc import (
     McMode,
     estimate_discounted_terminal,
     estimate_value,
-    grid_search_threshold,
     simulate_paths,
 )
 from cancelput.model import ModelParams, make_model
-from cancelput.pricer import Contract
+from cancelput.pricer import Contract, grid_search_threshold
 
 A_STAR_NOJUMP = 50.0
 VALUE_NOJUMP = 21.759706994462224
@@ -313,12 +312,85 @@ def test_traces_identical_across_event_blocks(model_jumps, contract, monkeypatch
     assert _same_paths(simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg), ref)
 
 
-def test_direct_mode_identical_across_event_blocks(model_jumps, contract, monkeypatch):
+@pytest.mark.parametrize("cap, first_events", [(64, 1), (7, 3), (1, 1)])
+def test_direct_mode_identical_across_event_blocks(
+    model_jumps, contract, monkeypatch, cap, first_events
+):
+    # Also pins the early finish to jump epochs: a step-end test would move
+    # with the block size.
     cfg = _cfg(n_paths=100, seed=19, mode=McMode.DIRECT_LAST_PASSAGE)
     ref = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg)
-    monkeypatch.setattr(mc, "_CAP", 64)
-    monkeypatch.setattr(mc, "_FIRST_EVENTS", 1)
+    monkeypatch.setattr(mc, "_CAP", cap)
+    monkeypatch.setattr(mc, "_FIRST_EVENTS", first_events)
     assert _same_paths(simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg), ref)
+
+
+# -------------------------------------------------------- early finish (direct)
+
+
+def _direct_with_and_without_early_finish(m, c, a, cfg):
+    """The same direct-mode run with the early finish on and off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_RETURN_EPS", 0.0)
+        off = simulate_paths(m, c, a, cfg)
+    return simulate_paths(m, c, a, cfg), off
+
+
+@pytest.fixture(scope="module")
+def paper_direct_runs(model_jumps, contract):
+    cfg = _cfg(n_paths=1000, seed=19, mode=McMode.DIRECT_LAST_PASSAGE)
+    return _direct_with_and_without_early_finish(model_jumps, contract, A_STAR_JUMPS, cfg)
+
+
+def test_early_finish_weights_sunk_paths_by_their_return_probability(paper_direct_runs):
+    # On the paper's jump set most stopped paths sink far below h and never
+    # come back; they finish at the sinking jump with weight e^{alpha (h - X)},
+    # under 1e-9.  The stop itself does not move.
+    on, off = paper_direct_runs
+    sunk = on.returned != off.returned
+    assert sunk.sum() > 100
+    assert np.all((on.returned[sunk] > 0.0) & (on.returned[sunk] <= mc._RETURN_EPS))
+    assert np.array_equal(on.tau, off.tau, equal_nan=True)
+    assert np.array_equal(on.s_tau, off.s_tau, equal_nan=True)
+    assert np.array_equal(on.crossing, off.crossing)
+
+
+def test_early_finish_leaves_the_estimate_in_place(paper_direct_runs, model_jumps, contract):
+    # The rule is exact, so it moves the estimate only by the sunk paths'
+    # weights: at most 1e-9 each.
+    on, off = paper_direct_runs
+    before = off.value(model_jumps, contract).mean
+    after = on.value(model_jumps, contract).mean
+    assert abs(after - before) <= 1e-6 * abs(before)
+
+
+def test_early_finish_never_fires_without_jumps(model_nojump, contract):
+    # Without jumps a path has no jump epoch at which to finish early.
+    cfg = _cfg(n_paths=300, seed=19, mode=McMode.DIRECT_LAST_PASSAGE)
+    on, off = _direct_with_and_without_early_finish(model_nojump, contract, A_STAR_NOJUMP, cfg)
+    assert _same_paths(on, off)
+
+
+def test_direct_mode_draws_bounded_events(model_jumps, contract, monkeypatch):
+    # Work, counted rather than timed: path-events drawn per path.  Direct
+    # mode drew 645 per path when it followed every stopped path to the
+    # horizon; survival mode's count is pinned exactly.
+    drawn = []
+    uniforms = mc._uniforms
+
+    def counting(seed, purposes, event, n_events, ids):
+        drawn.append(ids.size * n_events)
+        return uniforms(seed, purposes, event, n_events, ids)
+
+    monkeypatch.setattr(mc, "_uniforms", counting)
+
+    def drawn_per_path(mode):
+        drawn.clear()
+        simulate_paths(model_jumps, contract, A_STAR_JUMPS, _cfg(n_paths=100, seed=19, mode=mode))
+        return sum(drawn) / 100
+
+    assert drawn_per_path(McMode.DIRECT_LAST_PASSAGE) <= 200.0
+    assert drawn_per_path(McMode.SURVIVAL_WEIGHTED) == 18.88
 
 
 @pytest.mark.parametrize(
@@ -361,6 +433,16 @@ def test_grid_search_validation(model_jumps, contract):
             grid_search_threshold(model_jumps, contract, [50.0, 40.0], cfg)  # not increasing
         with pytest.raises(ConfigError):
             grid_search_threshold(model_jumps, contract, [50.0, 120.0], cfg)  # above strike
+
+
+def test_simulated_grid_must_lie_below_the_spot(model_jumps, monkeypatch):
+    # Refused before the first grid point is simulated, not after.
+    calls = []
+    monkeypatch.setattr(mc, "_run_paths", lambda *args: calls.append(args))
+    below_strike = Contract(strike=100.0, barrier=120.0, spot=90.0)
+    with pytest.raises(ConfigError, match="below the spot"):
+        grid_search_threshold(model_jumps, below_strike, [50.0, 70.0, 90.0], _cfg())
+    assert calls == []
 
 
 def test_grid_search_closed_form(model_jumps, contract):

@@ -16,7 +16,6 @@ from cancelput.scale import (
     build_scale_basis,
     build_scale_basis_bs,
     w_r,
-    w_r_prime,
     z_r,
 )
 
@@ -119,19 +118,9 @@ def test_w_and_z_boundary_values(model_jumps):
     b = build_scale_basis(model_jumps)
     assert abs(w_r(b, 0.0)) <= 1e-12
     assert z_r(b, model_jumps, 0.0) == 1.0
-    assert w_r_prime(b, 0.0) == pytest.approx(2.0 / model_jumps.sigma2, rel=1e-10)
     # Below the origin both solutions take their killed values.
     assert w_r(b, -0.3) == 0.0
-    assert w_r_prime(b, -0.3) == 0.0
     assert z_r(b, model_jumps, -0.3) == 1.0
-
-
-def test_w_prime_is_the_derivative(model_jumps):
-    b = build_scale_basis(model_jumps)
-    for x in (0.1, 0.5, 1.3, 2.8):
-        h = 1e-6
-        fd = (w_r(b, x + h) - w_r(b, x - h)) / (2.0 * h)
-        assert w_r_prime(b, x) == pytest.approx(fd, rel=1e-6)
 
 
 def test_z_prime_is_r_times_w(model_jumps):
@@ -181,4 +170,3 @@ def test_no_overflow_far_from_origin(model_jumps):
     b = build_scale_basis(model_jumps)
     assert math.isfinite(w_r(b, 600.0))
     assert math.isfinite(w_r(b, 720.0))  # exponent argument saturates
-    assert math.isfinite(w_r_prime(b, 720.0))
