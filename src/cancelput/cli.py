@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING
@@ -286,11 +285,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return _EXIT_OK if failed == 0 else _EXIT_CHECK_FAILED
 
 
-def _csv_num(x: float) -> str:
-    """A CSV cell: 12 significant digits, empty for NaN."""
-    return "" if math.isnan(x) else f"{x:.12g}"
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .mc import McMode, simulate_paths
 
@@ -306,9 +300,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         model, contract, a, replace(cfg, mode=McMode.SURVIVAL_WEIGHTED),
         workers=_resolve_workers(args, file_values),
     )
+    # A path the horizon came first for has no tau or s_tau: empty cells.
     rows = ["path_index,tau,s_tau,crossing_type"]
     rows += [
-        f"{i},{_csv_num(tau)},{_csv_num(s_tau)},{kind}"
+        "%d,,,none" % i if kind == "none" else "%d,%.12g,%.12g,%s" % (i, tau, s_tau, kind)
         for i, (tau, s_tau, kind) in enumerate(
             zip(paths.tau.tolist(), paths.s_tau.tolist(), paths.crossing.tolist())
         )

@@ -43,20 +43,22 @@ def make_model(r: float, sigma2: float, lam: float, rho: float) -> ModelParams:
     Raises
     ------
     InvalidParams
-        If ``r`` or ``sigma2`` is not positive, ``lam`` is negative, or
-        ``rho`` is not positive.
+        If any input is NaN or infinite, ``r`` or ``sigma2`` is not positive,
+        ``lam`` is negative, or ``rho`` is not positive.
     DegenerateCancellation
         If the log-price drifts upward (Laplace exponent has nonnegative
         slope at zero), in which case no cancellation exponent exists.
     """
-    if not (r > 0.0):
-        raise InvalidParams(f"interest rate must be positive, got r={r}")
-    if not (sigma2 > 0.0):
-        raise InvalidParams(f"variance must be positive, got sigma2={sigma2}")
-    if lam < 0.0:
-        raise InvalidParams(f"jump intensity must be nonnegative, got lambda={lam}")
-    if not (rho > 0.0):
-        raise InvalidParams(f"jump-size rate must be positive, got rho={rho}")
+    if not (0.0 < r < math.inf):
+        raise InvalidParams(f"interest rate must be positive and finite, got r={r}")
+    if not (0.0 < sigma2 < math.inf):
+        raise InvalidParams(f"variance must be positive and finite, got sigma2={sigma2}")
+    if not (0.0 <= lam < math.inf):
+        raise InvalidParams(
+            f"jump intensity must be nonnegative and finite, got lambda={lam}"
+        )
+    if not (0.0 < rho < math.inf):
+        raise InvalidParams(f"jump-size rate must be positive and finite, got rho={rho}")
 
     # Martingale condition: the Laplace exponent equals r at 1.
     mu = r - sigma2 / 2.0 + (lam / (1.0 + rho) if lam > 0.0 else 0.0)

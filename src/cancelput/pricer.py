@@ -69,14 +69,14 @@ class Contract:
     spot: float
 
     def __post_init__(self) -> None:
-        if not (self.strike > 0.0):
-            raise InvalidParams(f"strike must be positive, got {self.strike}")
-        if not (self.spot > 0.0):
-            raise InvalidParams(f"spot must be positive, got {self.spot}")
-        if not (self.barrier > self.strike):
+        if not (0.0 < self.strike < math.inf):
+            raise InvalidParams(f"strike must be positive and finite, got {self.strike}")
+        if not (0.0 < self.spot < math.inf):
+            raise InvalidParams(f"spot must be positive and finite, got {self.spot}")
+        if not (self.strike < self.barrier < math.inf):
             raise InvalidParams(
-                f"barrier must exceed the strike, got barrier={self.barrier} "
-                f"<= strike={self.strike}"
+                f"barrier must exceed the strike and be finite, got barrier={self.barrier}, "
+                f"strike={self.strike}"
             )
 
 
@@ -337,22 +337,34 @@ def _laguerre(n: int):
     return np.polynomial.laguerre.laggauss(n)
 
 
-def _jump_mean(m: ModelParams, f: Callable[[float], float], s: float, n: int):
-    """E[f(s e^{-Y})] - f(s) for Y ~ Exp(rho) on the n-node Laguerre rule in
-    u = beta*y; returns the value and the sum of its absolute terms.
+@functools.lru_cache(maxsize=256)
+def _jump_kernel(n: int, rho: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Shrink factors e^{-y} and weights of the n-node rule for Y ~ Exp(rho),
+    on nodes u = beta*y.
 
     beta = sqrt(rho (rho + 2)) is the geometric mean of the kernel's decay
     rate and that of a term quadratic in the landing price, so for small rho
-    the payoff's variation is not crowded against u = 0.  Nodes whose landing
-    point underflows to zero (y beyond about 745 + ln s) are left out.
+    the payoff's variation is not crowded against u = 0.
     """
     import numpy as np
 
-    beta = math.sqrt(m.rho * (m.rho + 2.0))
+    beta = math.sqrt(rho * (rho + 2.0))
     u, w = _laguerre(n)
-    landing = (s * np.exp(-u / beta)).tolist()
-    weight = (w * (m.rho / beta) * np.exp((1.0 - m.rho / beta) * u)).tolist()
+    shrink = np.exp(-u / beta)
+    weight = w * (rho / beta) * np.exp((1.0 - rho / beta) * u)
+    return tuple(shrink.tolist()), tuple(weight.tolist())
+
+
+def _jump_mean(m: ModelParams, f: Callable[[float], float], s: float, n: int):
+    """E[f(s e^{-Y})] - f(s) for Y ~ Exp(rho) on the n-node Laguerre rule;
+    returns the value and the sum of its absolute terms.
+
+    Nodes whose landing point underflows to zero (y beyond about 745 + ln s)
+    are left out.
+    """
+    shrink, weight = _jump_kernel(n, m.rho)
     f_s = f(s)
+    landing = [s * q for q in shrink]
     terms = [wt * (f(x) - f_s) for x, wt in zip(landing, weight) if x > 0.0]
     return sum(terms), sum(map(abs, terms))
 

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: JSON schema, exit codes, config files, CSV output."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -87,6 +88,21 @@ def test_negative_sigma_exit_2(tmp_path, capsys):
 def test_invalid_params_exit_2(capsys):
     code, doc = run_json(["price", "--r", "-1", "--sigma2", "0.2",
                           "--strike", "100", "--barrier", "120", "--spot", "110"], capsys)
+    assert code == 2
+    assert doc["error"]["type"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--spot", "inf"), ("--barrier", "inf"), ("--strike", "nan"), ("--r", "inf"),
+    ("--sigma2", "inf"), ("--lambda", "nan"), ("--lambda", "inf"), ("--rho", "inf"),
+])
+def test_non_finite_input_exit_2(flag, value, capsys):
+    # Before the finiteness guards, an infinite spot or barrier priced with
+    # exit 0 and printed the non-JSON token Infinity, and a NaN intensity
+    # surfaced as a DegenerateCancellation.
+    args = ["price", *JUMPS]
+    args[args.index(flag) + 1] = value
+    code, doc = run_json(args, capsys)
     assert code == 2
     assert doc["error"]["type"] == "InvalidParams"
 
@@ -507,6 +523,31 @@ def test_curve_csv_is_pinned(tmp_path, capsys):
     argv = ["curve", *JUMPS, "--smin", "40", "--smax", "200", "--points", "9", "--out", str(out)]
     assert run_cli(argv, capsys) == (0, "")
     assert out.read_bytes() == PINNED_CURVE.encode()
+
+
+# simulate's CSV by sha256, with the row kinds each run must contain: at
+# threshold 0.01 the diffusion leaves 35 of 100 paths at the horizon.
+PINNED_SIMULATE = {
+    "diffusion": (
+        [*BASE, "--threshold", "0.01"], {"creep", "none"},
+        "35736bde79b9405cf270c7d2be9cf8b2857cd103f240c05b5ea423324a6de380",
+    ),
+    "jumps": (
+        JUMPS, {"creep", "jump"},
+        "69ba3f90b58d12acb52dc99a3020842de622f2ab5a2227ac72ce52f575b7241c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SIMULATE))
+def test_simulate_csv_is_pinned(case, tmp_path, capsys):
+    flags, kinds, digest = PINNED_SIMULATE[case]
+    out = tmp_path / "paths.csv"
+    argv = ["simulate", *flags, "--paths", "100", "--seed", "8", "--out", str(out)]
+    assert run_cli(argv, capsys)[0] == 0
+    rows = out.read_text().splitlines()[1:]
+    assert {row.rsplit(",", 1)[1] for row in rows} == kinds
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # ------------------------------------------------------------- entry point

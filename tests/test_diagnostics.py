@@ -1,0 +1,52 @@
+"""The analytic suite's W checks: the array evaluation of W they run on."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from cancelput import diagnostics, scale
+from cancelput.scale import ScaleBasis, basis_for, w_r
+
+W_CHECK = "W nonnegative and nondecreasing"
+
+
+def test_w_check_fails_on_a_basis_whose_w_dips(model_nojump, contract, monkeypatch):
+    # c = (c1/3, -c1) gives W(0) = -2 c1/3 < 0, then W rises like e^x.  Only
+    # c1 changes, so the creeping factor (which reads eta_2 and c_2 alone)
+    # stays in [0, 1] and the rest of the suite runs as on the true basis.
+    true = basis_for(model_nojump)
+    c1 = true.c[0]
+    dipping = ScaleBasis(eta=true.eta, c=(c1 / 3.0, -c1))
+    monkeypatch.setattr(diagnostics, "basis_for", lambda m: dipping)
+    (check,) = [
+        res for res in diagnostics.analytic_suite(model_nojump, contract) if res.name == W_CHECK
+    ]
+    assert not check.passed
+    assert check.observed == pytest.approx(2.0 * c1 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
+def test_w_grid_matches_the_scalar_w(model, request):
+    b = basis_for(request.getfixturevalue(model))
+    xs = np.arange(0.0, 5.0 + 1e-9, 1e-3)
+    want = np.array([w_r(b, x) for x in xs.tolist()])
+    # W(0) = 0 exactly in both; near 0 both sums cancel, hence the floor.
+    assert np.all(np.abs(diagnostics._w_grid(b, xs) - want) <= 1e-12 * np.abs(want) + 1e-15)
+
+
+def test_analytic_suite_does_not_evaluate_w_point_by_point(
+    model_nojump, model_jumps, contract, monkeypatch
+):
+    # The W checks scan 5,001 + 101 + 25 points; a scalar loop over any of
+    # the larger grids shows up as thousands of w_r calls.
+    calls = []
+
+    def counted(b, x):
+        calls.append(x)
+        return w_r(b, x)
+
+    monkeypatch.setattr(scale, "w_r", counted)
+    monkeypatch.setattr(diagnostics, "w_r", counted, raising=False)
+    for m in (model_nojump, model_jumps):
+        assert all(res.passed for res in diagnostics.analytic_suite(m, contract))
+    assert len(calls) < 200
