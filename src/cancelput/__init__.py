@@ -33,15 +33,14 @@ from .pricer import (
     PriceReport,
     Region,
     bs_reference,
-    creeping_factor,
     g_integral,
     g_payoff,
     generator_apply,
     grid_search_threshold,
     h_function,
     optimal_threshold,
+    passage_factors,
     price,
-    undershoot_factor,
     value_at_threshold,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "bs_reference",
     "build_scale_basis",
     "build_scale_basis_bs",
-    "creeping_factor",
     "estimate_discounted_terminal",
     "estimate_value",
     "g_integral",
@@ -117,9 +115,9 @@ __all__ = [
     "make_model",
     "mc_suite",
     "optimal_threshold",
+    "passage_factors",
     "price",
     "simulate_paths",
-    "undershoot_factor",
     "value_at_threshold",
     "w_r",
     "z_r",

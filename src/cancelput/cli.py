@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING
@@ -136,11 +137,7 @@ def _build_mc_config(
 
 def _resolve_workers(args: argparse.Namespace, file_values: dict[str, str]) -> int:
     workers = _merged(args, "workers", int, file_values)
-    if workers is None:
-        workers = 1
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
-    return workers
+    return 1 if workers is None else workers
 
 
 def _sig12(obj):
@@ -239,8 +236,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     model, contract, _ = _build_model_contract(args)
-    if not (0.0 < args.smin < args.smax):
-        raise ConfigError(f"need 0 < smin < smax, got {args.smin}, {args.smax}")
+    if not (0.0 < args.smin < args.smax < math.inf):
+        raise ConfigError(f"need 0 < smin < smax < inf, got {args.smin}, {args.smax}")
     if args.points < 2:
         raise ConfigError(f"need at least 2 points, got {args.points}")
     basis = basis_for(model)
@@ -249,7 +246,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     for i in range(args.points):
         s = args.smin + (args.smax - args.smin) * i / (args.points - 1)
         pay = g_payoff(model, contract, s)
-        val = pay if s <= a_star else value_at_threshold(basis, model, contract, s, a_star)
+        val = value_at_threshold(basis, model, contract, s, a_star)
         rows.append(f"{s:.12g},{pay:.12g},{val:.12g}")
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -335,8 +332,6 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths", type=int, help="number of simulated paths")
     p.add_argument("--horizon", type=float, help="truncation time (default: max(200, 10/r))")
     p.add_argument("--seed", type=int, help="stream seed (required)")
-    p.add_argument("--mode", choices=("survival", "direct"),
-                   help="survival-weighted payoff or direct last-passage indicator")
     p.add_argument("--workers", type=int, default=None, help="parallel worker processes")
 
 
@@ -358,6 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-max", type=float, help="grid search: highest threshold")
     p.add_argument("--grid-step", type=float, help="grid search: step (enables grid mode)")
     p.add_argument("--mc", action="store_true", help="score grid points by simulation")
+    p.add_argument("--mode", choices=("survival", "direct"),
+                   help="--mc estimator: survival-weighted payoff or direct last-passage")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("curve", help="payoff/value CSV over a spot grid")

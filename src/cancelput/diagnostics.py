@@ -18,13 +18,11 @@ from .model import ModelParams, laplace_exponent, _psi_rational
 from .pricer import (
     Contract,
     bs_reference,
-    creeping_factor,
     g_payoff,
     generator_apply,
     h_function,
     optimal_threshold,
     price,
-    undershoot_factor,
     value_at_threshold,
 )
 from .scale import ScaleBasis, basis_for, z_r
@@ -165,15 +163,10 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
         worst_foc = max(worst_foc, abs((4.0 * d2 - d1) / 3.0))
     out.append(_check("first-order condition at the threshold", worst_foc, 1e-6))
 
-    rep = price(b, m, c)
     worst_dom = 0.0
-    for s in np.geomspace(0.1 * a_star, 5.0 * c.barrier, 500):
-        v = (
-            g_payoff(m, c, float(s))
-            if s <= a_star
-            else value_at_threshold(b, m, c, float(s), a_star)
-        )
-        worst_dom = max(worst_dom, g_payoff(m, c, float(s)) - v)
+    for s in np.geomspace(0.1 * a_star, 5.0 * c.barrier, 500).tolist():
+        v = value_at_threshold(b, m, c, s, a_star)
+        worst_dom = max(worst_dom, g_payoff(m, c, s) - v)
     out.append(_check("value dominates the payoff", worst_dom, 1e-9))
 
     # h_function(s) = (h/s)^alpha (delta*s - r*K) with (h/s)^alpha > 0, so on
@@ -211,10 +204,9 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
         out.append(_check("two-root W matches the Brownian form", worst_w, 1e-12))
 
         worst_rel = 0.0
-        for s in np.geomspace(0.2 * a_star, 3.0 * c.barrier, 100):
-            cc = Contract(strike=c.strike, barrier=c.barrier, spot=float(s))
-            plain = bs_reference(m, cc).plain_put
-            v = price(b, m, cc).value
+        for s in np.geomspace(0.2 * a_star, 3.0 * c.barrier, 100).tolist():
+            plain = bs_reference(m, replace(c, spot=s)).plain_put
+            v = value_at_threshold(b, m, c, s, a_star)
             worst_rel = max(worst_rel, v - plain)
         out.append(
             _check("cancellable never exceeds the plain put", worst_rel, 1e-12, f"plain at spot: {ref.plain_put:.4f}")
@@ -227,9 +219,8 @@ def mc_suite(
     m: ModelParams, c: Contract, cfg: McConfig, workers: int = 1
 ) -> list[CheckResult]:
     """Simulator cross-checks against the closed forms."""
-    b = basis_for(m)
-    a_star = optimal_threshold(b, m, c)
-    closed = value_at_threshold(b, m, c, c.spot, a_star)
+    rep = price(basis_for(m), m, c)
+    a_star, closed = rep.a_star, rep.value
     out: list[CheckResult] = []
 
     paths = simulate_paths(
@@ -246,8 +237,7 @@ def mc_suite(
         )
     )
 
-    cf = creeping_factor(b, m, c.spot, a_star)
-    uf = undershoot_factor(b, m, c.spot, a_star)
+    cf, uf = rep.creeping_factor, rep.undershoot_factor
     for label, fac, ref in zip(("creeping", "undershoot"), paths.passage_factors(m), (cf, uf)):
         out.append(
             _check(

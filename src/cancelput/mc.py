@@ -345,9 +345,11 @@ def _chunk_bounds(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _map_chunks(fn, payloads: list, workers: int) -> list:
-    if workers > _MAX_WORKERS:
-        raise ConfigError(f"workers must be at most {_MAX_WORKERS}, got {workers}")
-    if workers <= 1 or len(payloads) <= 1:
+    if not (1 <= workers <= _MAX_WORKERS):
+        raise ConfigError(
+            f"workers must be at least 1 and at most {_MAX_WORKERS}, got {workers}"
+        )
+    if workers == 1 or len(payloads) <= 1:
         return [fn(*p) for p in payloads]
     with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(fn, *zip(*payloads)))

@@ -86,8 +86,6 @@ class PriceReport:
     value: float
     creeping_factor: float
     undershoot_factor: float
-    g_at_a: float
-    g_integral: float
     region: Region
 
 
@@ -129,44 +127,47 @@ def _clamped_unit(raw: float, label: str) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def creeping_factor(b: ScaleBasis, m: ModelParams, s: float, a: float) -> float:
-    """Discounted probability weight of touching ``a`` continuously.
+def passage_factors(
+    b: ScaleBasis, m: ModelParams, s: float, a: float
+) -> tuple[float, float]:
+    """Discounted weights of reaching ``a`` from ``s``: by creep, touching
+    ``a`` continuously, and by a jump landing strictly below it.
 
-    Standard form (s2/2)(W'(x) - W(x)) at x = log(s/a); computed as the
-    equivalent sum (s2/2) * sum c_i (eta_i - 1) e^{eta_i x}, whose leading
-    term (eta_1 = 1) vanishes identically and is left out, so the result
-    decays instead of being a difference of two growing exponentials.
+    At x = log(s/a) these are (s2/2)(W'(x) - W(x)) and
+    Z(x) - (s2/2)W'(x) - W(x)(r - s2/2), regrouped per exponent.  Both leave
+    out the eta_1 = 1 term: it is exactly zero, and summed, its roundoff
+    residue would grow like e^x.  The constant collapses through
+    sum c_i/eta_i = 1/r.  Without jumps the second event is impossible: its
+    factor is exactly 0 and only the creep sum is formed.
     """
     if not (s >= a > 0.0):
         raise DomainError(f"need s >= a > 0, got s={s}, a={a}")
     x = math.log(s / a)
-    acc = 0.0
-    for ei, ci in zip(b.eta[1:], b.c[1:]):
-        acc += ci * (ei - 1.0) * math.exp(ei * x)
-    return _clamped_unit(m.sigma2 / 2.0 * acc, "creeping factor")
-
-
-def undershoot_factor(b: ScaleBasis, m: ModelParams, s: float, a: float) -> float:
-    """Discounted probability weight of jumping strictly below ``a``.
-
-    Standard form Z(x) - (s2/2)W'(x) - W(x)(r - s2/2) at x = log(s/a),
-    regrouped per exponent.  The eta_1 = 1 term cancels exactly, so it is
-    left out rather than summed as a roundoff residue that e^x would
-    amplify; the constant collapses through sum c_i/eta_i = 1/r.  Without
-    jumps the event is impossible and the factor is exactly zero.
-    """
-    if not (s >= a > 0.0):
-        raise DomainError(f"need s >= a > 0, got s={s}, a={a}")
-    if m.lam == 0.0:
-        return 0.0
-    x = math.log(s / a)
-    s2, r = m.sigma2, m.r
+    s2 = m.sigma2
+    creep = 0.0
+    if m.lam == 0.0:  # its own loop: grids and curves then pay no per-root jump test
+        for ei, ci in zip(b.eta[1:], b.c[1:]):
+            creep += ci * (ei - 1.0) * math.exp(ei * x)
+        return _clamped_unit(s2 / 2.0 * creep, "creeping factor"), 0.0
+    r = m.r
     const = 1.0 - r * b.c[0] / b.eta[0]
     acc = 0.0
     for ei, ci in zip(b.eta[1:], b.c[1:]):
+        e = math.exp(ei * x)
+        creep += ci * (ei - 1.0) * e
         const -= r * ci / ei
-        acc += ci * math.exp(ei * x) * (r / ei - s2 * ei / 2.0 - r + s2 / 2.0)
-    return _clamped_unit(const + acc, "undershoot factor")
+        acc += ci * e * (r / ei - s2 * ei / 2.0 - r + s2 / 2.0)
+    return (
+        _clamped_unit(s2 / 2.0 * creep, "creeping factor"),
+        _clamped_unit(const + acc, "undershoot factor"),
+    )
+
+
+def _value(m: ModelParams, c: Contract, a: float, creep: float, under: float) -> float:
+    """Value of stopping below ``a`` from its passage factors: creep lands
+    exactly at ``a`` and collects G(a); a jump lands below with the
+    memoryless undershoot law and collects the averaged payoff."""
+    return creep * g_payoff(m, c, a) + under * g_integral(m, c, a)
 
 
 def value_at_threshold(
@@ -174,18 +175,15 @@ def value_at_threshold(
 ) -> float:
     """Value at spot ``s`` of stopping at the first passage below ``a``.
 
-    Splits over how the threshold is reached: creep lands exactly at ``a``
-    and collects G(a); a jump lands below with the memoryless undershoot
-    law and collects the averaged payoff.  At or below the threshold the
-    policy stops immediately, so the value is the payoff itself.
+    Strictly below the threshold the policy stops at once, so the value is
+    the payoff itself; from ``a`` up it is formed from the passage factors.
     """
     if not (0.0 < a < c.strike):
         raise DomainError(f"threshold must lie in (0, strike), got a={a}")
     if s < a:
         return g_payoff(m, c, s)
-    return creeping_factor(b, m, s, a) * g_payoff(m, c, a) + undershoot_factor(
-        b, m, s, a
-    ) * g_integral(m, c, a)
+    creep, under = passage_factors(b, m, s, a)
+    return _value(m, c, a, creep, under)
 
 
 def optimal_threshold(b: ScaleBasis, m: ModelParams, c: Contract) -> float:
@@ -233,29 +231,11 @@ def optimal_threshold(b: ScaleBasis, m: ModelParams, c: Contract) -> float:
 def price(b: ScaleBasis, m: ModelParams, c: Contract) -> PriceReport:
     """Full report at the optimal threshold, evaluated at the contract spot."""
     a_star = optimal_threshold(b, m, c)
-    g_at_a = g_payoff(m, c, a_star)
-    g_int = g_integral(m, c, a_star)
     if c.spot <= a_star:
-        return PriceReport(
-            a_star=a_star,
-            value=g_payoff(m, c, c.spot),
-            creeping_factor=1.0,
-            undershoot_factor=0.0,
-            g_at_a=g_at_a,
-            g_integral=g_int,
-            region=Region.EXERCISE,
-        )
-    creep = creeping_factor(b, m, c.spot, a_star)
-    under = undershoot_factor(b, m, c.spot, a_star)
-    return PriceReport(
-        a_star=a_star,
-        value=creep * g_at_a + under * g_int,
-        creeping_factor=creep,
-        undershoot_factor=under,
-        g_at_a=g_at_a,
-        g_integral=g_int,
-        region=Region.CONTINUATION,
-    )
+        return PriceReport(a_star, g_payoff(m, c, c.spot), 1.0, 0.0, Region.EXERCISE)
+    creep, under = passage_factors(b, m, c.spot, a_star)
+    value = _value(m, c, a_star, creep, under)
+    return PriceReport(a_star, value, creep, under, Region.CONTINUATION)
 
 
 def grid_search_threshold(

@@ -261,6 +261,15 @@ def test_curve_bad_grid_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("smax", ["inf", "nan"])
+def test_curve_non_finite_bound_exit_2(smax, tmp_path, capsys):
+    code, doc = run_json(["curve", *BASE, "--smin", "20", "--smax", smax, "--points", "3",
+                          "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert "smax < inf" in doc["error"]["message"] and smax in doc["error"]["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_curve_unwritable_path_exit_3(capsys):
     code, _ = run_cli(["curve", *BASE, "--smin", "30", "--smax", "60",
                        "--points", "5", "--out", "/nonexistent-dir/x.csv"], capsys)
@@ -306,6 +315,18 @@ def test_simulate_deterministic_across_workers(tmp_path, capsys):
     assert run_cli([*base, "--workers", "1", "--out", str(a)], capsys)[0] == 0
     assert run_cli([*base, "--workers", "2", "--out", str(b)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_zero_workers_exit_2(tmp_path, capsys, monkeypatch):
+    from cancelput import mc
+
+    started = []
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
+    code, doc = run_json(["simulate", *JUMPS, "--paths", "150", "--seed", "1",
+                          "--workers", "0", "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert "at least 1" in doc["error"]["message"]
+    assert started == []
 
 
 def test_simulate_workers_limit_exit_2(tmp_path, capsys, monkeypatch):
@@ -372,6 +393,10 @@ def test_validate_invalid_contract_fails_before_suite(capsys):
 # change to the numbers or the layout of price, threshold (with or without a
 # grid) or curve fails here.
 EXERCISE = [*BASE[:-1], "40"]
+# The spot set to repr(a*) itself: the region boundary, where a quote
+# stops (Exercise, factors 1 and 0, value G(a*)).
+AT_A_STAR_BASE = [*BASE[:-1], "50.0"]
+AT_A_STAR_JUMPS = [*JUMPS[:-1], "63.18132384302513"]
 GRID = ["--grid-min", "40", "--grid-max", "80", "--grid-step", "0.5"]
 PINNED_STDOUT = {
     "price-base": (["price", *BASE], """\
@@ -431,6 +456,46 @@ PINNED_STDOUT = {
     "strike": 100.0,
     "barrier": 120.0,
     "spot": 40.0
+  }
+}
+"""),
+    "price-at-a-star-base": (["price", *AT_A_STAR_BASE], """\
+{
+  "a_star": 50.0,
+  "value": 32.2748612184,
+  "creeping_factor": 1.0,
+  "undershoot_factor": 0.0,
+  "region": "Exercise",
+  "params_echo": {
+    "r": 0.05,
+    "sigma2": 0.2,
+    "lambda": 0.0,
+    "rho": 1.0,
+    "mu": -0.05,
+    "alpha": -0.5,
+    "strike": 100.0,
+    "barrier": 120.0,
+    "spot": 50.0
+  }
+}
+"""),
+    "price-at-a-star-jumps": (["price", *AT_A_STAR_JUMPS], """\
+{
+  "a_star": 63.181323843,
+  "value": 20.3364151496,
+  "creeping_factor": 1.0,
+  "undershoot_factor": 0.0,
+  "region": "Exercise",
+  "params_echo": {
+    "r": 0.05,
+    "sigma2": 0.2,
+    "lambda": 5.0,
+    "rho": 2.0,
+    "mu": 1.61666666667,
+    "alpha": -0.925343457887,
+    "strike": 100.0,
+    "barrier": 120.0,
+    "spot": 63.181323843
   }
 }
 """),
@@ -512,6 +577,26 @@ s,payoff,value
 """
 
 
+# Curves whose first spot is exactly a*: the value there is the payoff.
+PINNED_CURVE_FROM_A_STAR = {
+    "base": (["--smin", "50.0", "--smax", "200", "--points", "4"], BASE, """\
+s,payoff,value
+50,32.2748612184,32.2748612184
+100,0,22.8217732294
+150,0,18.6338998125
+200,0,16.1374306092
+"""),
+    "jumps": (["--smin", "63.18132384302513", "--smax", "200", "--points", "5"], JUMPS, """\
+s,payoff,value
+63.181323843,20.3364151496,20.3364151496
+97.3859928823,2.15472686263,19.1113669943
+131.590661922,0,18.8125598531
+165.795330961,0,18.5865182701
+200,0,18.4050263477
+"""),
+}
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_STDOUT))
 def test_closed_form_stdout_is_pinned(case, capsys):
     argv, expect = PINNED_STDOUT[case]
@@ -523,6 +608,14 @@ def test_curve_csv_is_pinned(tmp_path, capsys):
     argv = ["curve", *JUMPS, "--smin", "40", "--smax", "200", "--points", "9", "--out", str(out)]
     assert run_cli(argv, capsys) == (0, "")
     assert out.read_bytes() == PINNED_CURVE.encode()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CURVE_FROM_A_STAR))
+def test_curve_from_a_star_is_pinned(case, tmp_path, capsys):
+    grid, flags, expect = PINNED_CURVE_FROM_A_STAR[case]
+    out = tmp_path / "curve.csv"
+    assert run_cli(["curve", *flags, *grid, "--out", str(out)], capsys) == (0, "")
+    assert out.read_bytes() == expect.encode()
 
 
 # simulate's CSV by sha256, with the row kinds each run must contain: at
@@ -640,11 +733,13 @@ def test_star_import_resolves_every_name():
 
 
 def test_console_script_runs():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "cancelput", "price", *BASE],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -292,6 +292,16 @@ def test_workers_above_the_limit_are_refused(model_jumps, contract, recording_po
     assert recording_pool == []
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_are_refused(workers, model_jumps, contract, recording_pool):
+    cfg = _cfg(n_paths=5000, seed=17)
+    with pytest.raises(ConfigError, match="at least 1"):
+        simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=workers)
+    with pytest.raises(ConfigError, match="at least 1"):
+        estimate_discounted_terminal(model_jumps, contract, 1.0, cfg, workers=workers)
+    assert recording_pool == []
+
+
 def test_traces_bit_identical_across_workers(model_jumps, contract):
     for mode in McMode:
         cfg = _cfg(n_paths=200, seed=17, mode=mode)

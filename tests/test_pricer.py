@@ -26,14 +26,13 @@ from cancelput.pricer import (
     Contract,
     Region,
     bs_reference,
-    creeping_factor,
     g_integral,
     g_payoff,
     generator_apply,
     h_function,
     optimal_threshold,
+    passage_factors,
     price,
-    undershoot_factor,
     value_at_threshold,
 )
 from cancelput.scale import basis_for, build_scale_basis_bs
@@ -123,26 +122,34 @@ def test_g_integral_domain(model_jumps, contract):
 def test_factors_at_the_threshold(model_jumps, contract):
     b = basis_for(model_jumps)
     a = A_STAR_JUMPS
-    assert creeping_factor(b, model_jumps, a, a) == pytest.approx(1.0, abs=1e-12)
-    assert undershoot_factor(b, model_jumps, a, a) == pytest.approx(0.0, abs=1e-12)
+    creep, under = passage_factors(b, model_jumps, a, a)
+    assert creep == pytest.approx(1.0, abs=1e-12)
+    assert under == pytest.approx(0.0, abs=1e-12)
+
+
+def test_factors_domain(model_jumps):
+    b = basis_for(model_jumps)
+    for s, a in ((50.0, A_STAR_JUMPS), (110.0, 0.0), (math.nan, A_STAR_JUMPS)):
+        with pytest.raises(DomainError):
+            passage_factors(b, model_jumps, s, a)
 
 
 def test_factor_frozen_values(model_nojump, model_jumps, contract):
     b0 = basis_for(model_nojump)
-    assert creeping_factor(b0, model_nojump, 110.0, 50.0) == pytest.approx(CREEP_NOJUMP, rel=REL)
-    assert undershoot_factor(b0, model_nojump, 110.0, 50.0) == 0.0  # no jumps, no undershoot
+    creep, under = passage_factors(b0, model_nojump, 110.0, 50.0)
+    assert creep == pytest.approx(CREEP_NOJUMP, rel=REL)
+    assert under == 0.0  # no jumps, no undershoot
     bj = basis_for(model_jumps)
-    assert creeping_factor(bj, model_jumps, 110.0, A_STAR_JUMPS) == pytest.approx(CREEP_JUMPS, rel=REL)
-    assert undershoot_factor(bj, model_jumps, 110.0, A_STAR_JUMPS) == pytest.approx(UNDER_JUMPS, rel=REL)
+    creep, under = passage_factors(bj, model_jumps, 110.0, A_STAR_JUMPS)
+    assert creep == pytest.approx(CREEP_JUMPS, rel=REL)
+    assert under == pytest.approx(UNDER_JUMPS, rel=REL)
 
 
 def test_factors_sum_to_discounted_passage(model_jumps):
     # creep + undershoot = E[e^{-r tau}], which for the no-jump model is
     # (s/a)^{eta2}; with jumps we freeze the oracle value.
     b = basis_for(model_jumps)
-    total = creeping_factor(b, model_jumps, 110.0, A_STAR_JUMPS) + undershoot_factor(
-        b, model_jumps, 110.0, A_STAR_JUMPS
-    )
+    total = sum(passage_factors(b, model_jumps, 110.0, A_STAR_JUMPS))
     assert total == pytest.approx(0.9485950366970669, rel=1e-11)
     assert 0.0 < total < 1.0
 
@@ -151,9 +158,7 @@ def test_factors_decay_far_from_threshold(model_jumps):
     b = basis_for(model_jumps)
     prev = 1.1
     for s in (70.0, 90.0, 120.0, 200.0, 500.0):
-        tot = creeping_factor(b, model_jumps, s, A_STAR_JUMPS) + undershoot_factor(
-            b, model_jumps, s, A_STAR_JUMPS
-        )
+        tot = sum(passage_factors(b, model_jumps, s, A_STAR_JUMPS))
         assert 0.0 <= tot < prev
         prev = tot
 
@@ -163,7 +168,7 @@ def test_factors_clamped_without_warning_for_tiny_excursions(model_nojump):
     b = basis_for(model_nojump)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val = creeping_factor(b, model_nojump, 50.0 + 1e-13, 50.0)
+        val, _ = passage_factors(b, model_nojump, 50.0 + 1e-13, 50.0)
     assert val <= 1.0
 
 
@@ -296,7 +301,7 @@ def test_price_report(model_nojump, model_jumps, contract):
     assert rep.undershoot_factor == 0.0
     repj = price(basis_for(model_jumps), model_jumps, contract)
     assert repj.value == pytest.approx(VALUE_JUMPS, rel=REL)
-    assert repj.g_integral == pytest.approx(GINT_JUMPS, rel=REL)
+    assert g_integral(model_jumps, contract, repj.a_star) == pytest.approx(GINT_JUMPS, rel=REL)
 
 
 def test_price_exercise_region(model_nojump):
