@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from .errors import CancelPutError, ConfigError, InvalidParams
@@ -35,9 +34,21 @@ _EXIT_CHECK_FAILED = 1
 _EXIT_BAD_INPUT = 2
 _EXIT_IO = 3
 
-_MODEL_KEYS = ("r", "sigma2", "sigma", "lambda", "rho")
-_CONTRACT_KEYS = ("strike", "barrier", "spot")
-_MC_KEYS = ("paths", "horizon", "seed", "mode", "workers")
+
+def _mode(raw: str) -> str:
+    if raw not in ("survival", "direct"):
+        raise ConfigError(f"mode must be 'survival' or 'direct', got {raw!r}")
+    return raw
+
+
+#: Config-file keys: the flag destination each one fills and its cast.
+_CONFIG_KEYS = {
+    "r": ("r", float), "sigma2": ("sigma2", float), "sigma": ("sigma", float),
+    "lambda": ("lam", float), "rho": ("rho", float),
+    "strike": ("strike", float), "barrier": ("barrier", float), "spot": ("spot", float),
+    "paths": ("paths", int), "horizon": ("horizon", float), "seed": ("seed", int),
+    "mode": ("mode", _mode), "workers": ("workers", int),
+}
 
 #: Most points a threshold grid search may have.
 _GRID_MAX_POINTS = 100_000
@@ -54,90 +65,73 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _MODEL_KEYS + _CONTRACT_KEYS + _MC_KEYS:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = val
     return values
 
 
-def _merged(args: argparse.Namespace, key: str, cast, file_values: dict[str, str]):
-    """Flag value if given, else config-file value, else None."""
-    flag = getattr(args, key.replace("lambda", "lam"), None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        raw = file_values[key]
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}={raw!r}: {exc}") from None
-    return None
+def _apply_config_file(args: argparse.Namespace) -> None:
+    """Fill every setting no flag gave from the ``--config`` file.
+
+    A file may hold only settings the command has a flag for, so none of
+    its keys can be silently ignored; flags override it.
+    """
+    if not args.config:
+        return
+    for key, raw in _read_config_file(args.config).items():
+        dest, cast = _CONFIG_KEYS[key]
+        if dest not in vars(args):
+            raise ConfigError(f"config key {key!r} is not a setting of {args.command}")
+        if getattr(args, dest) is None:
+            try:
+                setattr(args, dest, cast(raw))
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}={raw!r}: {exc}") from None
 
 
 def _build_model_contract(args: argparse.Namespace):
-    file_values = _read_config_file(args.config) if args.config else {}
-
-    r = _merged(args, "r", float, file_values)
-    sigma2 = _merged(args, "sigma2", float, file_values)
-    if sigma2 is None:
-        sigma = _merged(args, "sigma", float, file_values)
-        if sigma is not None:
-            if not (sigma > 0.0):
-                raise InvalidParams(f"volatility must be positive, got sigma={sigma}")
-            sigma2 = sigma * sigma
-    lam = _merged(args, "lambda", float, file_values)
-    rho = _merged(args, "rho", float, file_values)
-    strike = _merged(args, "strike", float, file_values)
-    barrier = _merged(args, "barrier", float, file_values)
-    spot = _merged(args, "spot", float, file_values)
+    sigma2 = args.sigma2
+    if sigma2 is None and args.sigma is not None:
+        if not (args.sigma > 0.0):
+            raise InvalidParams(f"volatility must be positive, got sigma={args.sigma}")
+        sigma2 = args.sigma * args.sigma
 
     missing = [
         name
         for name, val in (
-            ("r", r), ("sigma2", sigma2), ("strike", strike),
-            ("barrier", barrier), ("spot", spot),
+            ("r", args.r), ("sigma2", sigma2), ("strike", args.strike),
+            ("barrier", args.barrier), ("spot", args.spot),
         )
         if val is None
     ]
     if missing:
         raise ConfigError(f"missing required parameters: {', '.join(missing)}")
-    if lam is None:
-        lam = 0.0
+    lam = 0.0 if args.lam is None else args.lam
+    rho = args.rho
     if rho is None:
         if lam > 0.0:
             raise ConfigError("rho is required when lambda > 0")
         rho = 1.0  # unused placeholder in the jump-free branch
 
-    model = make_model(r, sigma2, lam, rho)
-    contract = Contract(strike=strike, barrier=barrier, spot=spot)
-    return model, contract, file_values
+    model = make_model(args.r, sigma2, lam, rho)
+    return model, Contract(strike=args.strike, barrier=args.barrier, spot=args.spot)
 
 
-def _build_mc_config(
-    args: argparse.Namespace, file_values: dict[str, str], r: float
-) -> McConfig:
+def _build_mc_config(args: argparse.Namespace, r: float) -> McConfig:
     from .mc import McConfig, McMode
 
-    paths = _merged(args, "paths", int, file_values)
-    horizon = _merged(args, "horizon", float, file_values)
-    seed = _merged(args, "seed", int, file_values)
-    mode = _merged(args, "mode", str, file_values)
-    if seed is None:
+    if args.seed is None:
         raise ConfigError("randomized commands require an explicit --seed")
-    if mode not in (None, "survival", "direct"):
-        raise ConfigError(f"mode must be 'survival' or 'direct', got {mode!r}")
     return McConfig(
-        n_paths=paths if paths is not None else 10_000,
+        n_paths=args.paths if args.paths is not None else 10_000,
         # The estimators need horizon >= 10/r; 200 already covers r >= 0.05.
-        horizon=horizon if horizon is not None else max(200.0, 10.0 / r),
-        seed=seed,
-        mode=McMode.DIRECT_LAST_PASSAGE if mode == "direct" else McMode.SURVIVAL_WEIGHTED,
+        horizon=args.horizon if args.horizon is not None else max(200.0, 10.0 / r),
+        seed=args.seed,
+        # Only threshold has --mode; simulate and validate choose their modes.
+        mode=McMode(getattr(args, "mode", None) or "survival"),
+        workers=args.workers if args.workers is not None else 1,
     )
-
-
-def _resolve_workers(args: argparse.Namespace, file_values: dict[str, str]) -> int:
-    workers = _merged(args, "workers", int, file_values)
-    return 1 if workers is None else workers
 
 
 def _sig12(obj):
@@ -170,7 +164,7 @@ def _params_echo(model, contract) -> dict:
 
 
 def cmd_price(args: argparse.Namespace) -> int:
-    model, contract, _ = _build_model_contract(args)
+    model, contract = _build_model_contract(args)
     basis = basis_for(model)
     report = price(basis, model, contract)
     _emit(
@@ -187,7 +181,7 @@ def cmd_price(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    model, contract, file_values = _build_model_contract(args)
+    model, contract = _build_model_contract(args)
     basis = basis_for(model)
     if args.grid_step is None and not args.mc:
         _emit(
@@ -215,10 +209,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     count = int(span) + 1
     grid = [lo + i * step for i in range(count)]
     if args.mc:
-        cfg = _build_mc_config(args, file_values, model.r)
-        a_hat, _values = grid_search_threshold(
-            model, contract, grid, cfg, workers=_resolve_workers(args, file_values)
-        )
+        cfg = _build_mc_config(args, model.r)
+        a_hat, _values = grid_search_threshold(model, contract, grid, cfg)
         method = "grid-mc"
     else:
         a_hat, _values = grid_search_threshold(model, contract, grid)
@@ -235,7 +227,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    model, contract, _ = _build_model_contract(args)
+    model, contract = _build_model_contract(args)
     if not (0.0 < args.smin < args.smax < math.inf):
         raise ConfigError(f"need 0 < smin < smax < inf, got {args.smin}, {args.smax}")
     if args.points < 2:
@@ -260,15 +252,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from .diagnostics import analytic_suite, mc_suite
 
-    model, contract, file_values = _build_model_contract(args)
+    model, contract = _build_model_contract(args)
     results = []
     if args.suite in ("analytic", "all"):
         results.extend(analytic_suite(model, contract))
     if args.suite in ("mc", "all"):
-        cfg = _build_mc_config(args, file_values, model.r)
-        results.extend(
-            mc_suite(model, contract, cfg, workers=_resolve_workers(args, file_values))
-        )
+        results.extend(mc_suite(model, contract, _build_mc_config(args, model.r)))
 
     width = max(len(res.name) for res in results)
     for res in results:
@@ -283,20 +272,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .mc import McMode, simulate_paths
+    from .mc import simulate_paths
 
-    model, contract, file_values = _build_model_contract(args)
-    cfg = _build_mc_config(args, file_values, model.r)
+    model, contract = _build_model_contract(args)
+    cfg = _build_mc_config(args, model.r)
     if args.threshold is not None:
         a = args.threshold
     else:
         a = optimal_threshold(basis_for(model), model, contract)
-    # The CSV carries no return weights, so direct mode's run past the stop
-    # would be wasted: the stop is the same path in both modes.
-    paths = simulate_paths(
-        model, contract, a, replace(cfg, mode=McMode.SURVIVAL_WEIGHTED),
-        workers=_resolve_workers(args, file_values),
-    )
+    paths = simulate_paths(model, contract, a, cfg)
     # A path the horizon came first for has no tau or s_tau: empty cells.
     rows = ["path_index,tau,s_tau,crossing_type"]
     rows += [
@@ -390,6 +374,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _apply_config_file(args)
         return args.func(args)
     except CancelPutError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

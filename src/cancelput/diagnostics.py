@@ -215,17 +215,13 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
     return out
 
 
-def mc_suite(
-    m: ModelParams, c: Contract, cfg: McConfig, workers: int = 1
-) -> list[CheckResult]:
+def mc_suite(m: ModelParams, c: Contract, cfg: McConfig) -> list[CheckResult]:
     """Simulator cross-checks against the closed forms."""
     rep = price(basis_for(m), m, c)
     a_star, closed = rep.a_star, rep.value
     out: list[CheckResult] = []
 
-    paths = simulate_paths(
-        m, c, a_star, replace(cfg, mode=McMode.SURVIVAL_WEIGHTED), workers=workers
-    )
+    paths = simulate_paths(m, c, a_star, replace(cfg, mode=McMode.SURVIVAL_WEIGHTED))
     est = paths.value(m, c)
     floor = 0.01 if m.lam == 0.0 else 0.015
     out.append(
@@ -268,7 +264,7 @@ def mc_suite(
                 )
             )
 
-    term = estimate_discounted_terminal(m, c, 1.0, cfg, workers=workers)
+    term = estimate_discounted_terminal(m, c, 1.0, cfg)
     out.append(
         _check(
             "discounted asset is a martingale",
@@ -284,7 +280,7 @@ def mc_suite(
         n_paths=max(100, cfg.n_paths // 10),
         mode=McMode.DIRECT_LAST_PASSAGE,
     )
-    est_d = estimate_value(m, c, a_star, direct_cfg, workers=workers)
+    est_d = estimate_value(m, c, a_star, direct_cfg)
     combined = math.hypot(est.stderr, est_d.stderr)
     out.append(
         _check(

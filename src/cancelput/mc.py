@@ -54,13 +54,15 @@ class McMode(enum.Enum):
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation knobs.  ``horizon`` must also satisfy horizon >= 10/r,
-    which ``simulate_paths`` checks (the rate lives on the model)."""
+    """One simulation run, worker processes included.  ``horizon`` must also
+    satisfy horizon >= 10/r, which ``simulate_paths`` checks (the rate lives
+    on the model)."""
 
     n_paths: int
     horizon: float
     seed: int
     mode: McMode = McMode.SURVIVAL_WEIGHTED
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n_paths < 100:
@@ -69,6 +71,10 @@ class McConfig:
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
+        if not (1 <= self.workers <= _MAX_WORKERS):
+            raise ConfigError(
+                f"workers must be at least 1 and at most {_MAX_WORKERS}, got {self.workers}"
+            )
 
 
 @dataclass(frozen=True)
@@ -338,38 +344,28 @@ def _simulate(
     return tau, x_stop, crossing, hit
 
 
-def _chunk_bounds(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(hi - lo, workers))
-    step = -(-(hi - lo) // pieces)
-    return [(first, min(first + step, hi)) for first in range(lo, hi, step)]
-
-
-def _map_chunks(fn, payloads: list, workers: int) -> list:
-    if not (1 <= workers <= _MAX_WORKERS):
-        raise ConfigError(
-            f"workers must be at least 1 and at most {_MAX_WORKERS}, got {workers}"
-        )
-    if workers == 1 or len(payloads) <= 1:
-        return [fn(*p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(fn, *zip(*payloads)))
+def _chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
+    step = -(-n // workers)
+    return [(first, min(first + step, n)) for first in range(0, n, step)]
 
 
 def _run_paths(
-    m: ModelParams, b: float, h: float, horizon: float, seed: int, lo: int, hi: int,
-    direct: bool, workers: int,
+    m: ModelParams, b: float, h: float, horizon: float, cfg: McConfig, direct: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    payloads = [
-        (m, b, h, horizon, int(seed), first, last, direct)
-        for first, last in _chunk_bounds(lo, hi, workers)
+    """``_simulate`` over ``cfg``'s paths, in process or one pool worker per chunk."""
+    chunks = [
+        (m, b, h, horizon, int(cfg.seed), first, last, direct)
+        for first, last in _chunk_bounds(cfg.n_paths, cfg.workers)
     ]
-    parts = _map_chunks(_simulate, payloads, workers)
+    if len(chunks) == 1:
+        parts = [_simulate(*chunks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_simulate, *zip(*chunks)))
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
-def simulate_paths(
-    m: ModelParams, c: Contract, a: float, cfg: McConfig, workers: int = 1
-) -> PolicyPaths:
+def simulate_paths(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> PolicyPaths:
     """Run ``cfg``'s paths under the policy that stops at the first passage
     to or below ``a``, in ``cfg.mode``.
 
@@ -389,8 +385,7 @@ def simulate_paths(
         )
     direct = cfg.mode is McMode.DIRECT_LAST_PASSAGE
     tau, x, crossing, hit = _run_paths(
-        m, math.log(a / c.spot), math.log(c.barrier / c.spot), cfg.horizon, cfg.seed,
-        0, cfg.n_paths, direct, workers,
+        m, math.log(a / c.spot), math.log(c.barrier / c.spot), cfg.horizon, cfg, direct
     )
     s_tau = np.where(crossing == "creep", a, c.spot * np.exp(x))
     return PolicyPaths(
@@ -402,15 +397,13 @@ def simulate_paths(
     )
 
 
-def estimate_value(
-    m: ModelParams, c: Contract, a: float, cfg: McConfig, workers: int = 1
-) -> McEstimate:
+def estimate_value(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> McEstimate:
     """Estimate the value of the stop-below-``a`` policy (see ``PolicyPaths.value``)."""
-    return simulate_paths(m, c, a, cfg, workers).value(m, c)
+    return simulate_paths(m, c, a, cfg).value(m, c)
 
 
 def estimate_discounted_terminal(
-    m: ModelParams, c: Contract, t: float, cfg: McConfig, workers: int = 1
+    m: ModelParams, c: Contract, t: float, cfg: McConfig
 ) -> McEstimate:
     """Mean of e^{-r t} S_t sampled from the exact transition law.
 
@@ -420,7 +413,5 @@ def estimate_discounted_terminal(
     """
     if not (t > 0.0):
         raise ConfigError(f"sampling time must be positive, got t={t}")
-    _tau, x, _crossing, _hit = _run_paths(
-        m, -math.inf, math.inf, t, cfg.seed, 0, cfg.n_paths, False, workers
-    )
+    _tau, x, _crossing, _hit = _run_paths(m, -math.inf, math.inf, t, cfg, False)
     return McEstimate.from_sample(math.exp(-m.r * t) * c.spot * np.exp(x))

@@ -243,7 +243,6 @@ def grid_search_threshold(
     c: Contract,
     a_grid,
     cfg: McConfig | None = None,
-    workers: int = 1,
 ) -> tuple[float, list[float]]:
     """Argmax of the policy value over candidate thresholds (the first, on ties).
 
@@ -266,7 +265,7 @@ def grid_search_threshold(
             )
         from .mc import estimate_value
 
-        values = [estimate_value(m, c, a, cfg, workers=workers).mean for a in grid]
+        values = [estimate_value(m, c, a, cfg).mean for a in grid]
     else:
         basis = basis_for(m)
         values = [value_at_threshold(basis, m, c, c.spot, a) for a in grid]

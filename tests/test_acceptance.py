@@ -226,9 +226,8 @@ def test_criterion_09_degenerate_branch_continuity():
 def test_criterion_10_determinism_across_workers(jumps):
     m, b = jumps
     a = optimal_threshold(b, m, C)
-    cfg = McConfig(n_paths=500, horizon=200.0, seed=123456789)
-    one = estimate_value(m, C, a, cfg, workers=1)
-    two = estimate_value(m, C, a, cfg, workers=2)
+    one = estimate_value(m, C, a, McConfig(n_paths=500, horizon=200.0, seed=123456789, workers=1))
+    two = estimate_value(m, C, a, McConfig(n_paths=500, horizon=200.0, seed=123456789, workers=2))
     ok = one.mean == two.mean and one.stderr == two.stderr
     _verdict(
         10, ok,

@@ -165,6 +165,46 @@ def test_malformed_config_line_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+BASE_FILE = "r = 0.05\nsigma2 = 0.2\nstrike = 100\nbarrier = 120\nspot = 110\n"
+JUMPS_FILE = BASE_FILE + "lambda = 5\nrho = 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["simulate", "--paths", "200", "--seed", "3", "--out", "paths.csv"], "mode = direct"),
+        (["validate", "--suite", "mc", "--paths", "400", "--seed", "3"], "mode = direct"),
+        (["price"], "seed = 3"),
+    ],
+)
+def test_config_key_without_a_flag_exit_2(argv, line, tmp_path, capsys, monkeypatch):
+    # simulate and validate choose their own modes and have no --mode; a
+    # file's mode must be refused, not accepted and then ignored.
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(JUMPS_FILE + line + "\n")
+    code, doc = run_json([*argv, "--config", str(cfg)], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert repr(line.split(" = ")[0]) in doc["error"]["message"]
+    assert not (tmp_path / "paths.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, line, message",
+    [
+        (["validate", "--suite", "mc", "--seed", "3"], "paths = ten", "paths='ten'"),
+        (["price"], "lambda = 5", "rho is required"),
+        (["threshold"], "mode = sideways", "mode must be 'survival' or 'direct'"),
+    ],
+)
+def test_config_file_input_errors_exit_2(argv, line, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_FILE + line + "\n")
+    code, doc = run_json([*argv, "--config", str(cfg)], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert message in doc["error"]["message"]
+
+
 # --------------------------------------------------------------- threshold
 
 
@@ -215,6 +255,20 @@ def test_threshold_grid_point_cap_exit_2(capsys):
     assert code == 2
     assert doc["error"]["type"] == "ConfigError"
     assert "100000 points" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "direct"]])
+def test_threshold_grid_mc(mode, tmp_path, capsys):
+    grid = ["--grid-min", "50", "--grid-max", "70", "--grid-step", "5"]
+    argv = ["threshold", *JUMPS, *grid, "--mc", "--paths", "400", "--seed", "3", *mode]
+    code, out = run_cli([*argv, "--workers", "1"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["method"] == "grid-mc"
+    assert doc["a_star"] in (50.0, 55.0, 60.0, 65.0, 70.0)
+    assert doc["grid"]["points"] == 5
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 2\n")
+    assert run_cli([*argv, "--config", str(cfg)], capsys) == (0, out)
 
 
 def test_threshold_grid_mc_requires_seed(capsys):

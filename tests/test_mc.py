@@ -54,9 +54,9 @@ def _same_paths(p, q) -> bool:
 
 def _replay(m, c, a, cfg, path):
     """Path ``path`` of ``cfg`` simulated alone: (tau, x, crossing, hit)."""
-    return mc._run_paths(
+    return mc._simulate(
         m, math.log(a / c.spot), math.log(c.barrier / c.spot), cfg.horizon, cfg.seed,
-        path, path + 1, False, 1,
+        path, path + 1, False,
     )
 
 
@@ -74,6 +74,9 @@ def _replay(m, c, a, cfg, path):
         dict(horizon=0.0),
         dict(seed=-1),
         dict(seed=2**64),
+        dict(workers=0),
+        dict(workers=-1),
+        dict(workers=mc._MAX_WORKERS + 1),
     ],
 )
 def test_config_validation(kw):
@@ -90,6 +93,9 @@ def test_estimator_preconditions(model_jumps, contract):
     # horizon must cover ~10 discount half-lives: 10/r = 200 here
     with pytest.raises(ConfigError):
         estimate_value(model_jumps, contract, A_STAR_JUMPS, _cfg(horizon=100.0))
+    for t in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="sampling time must be positive"):
+            estimate_discounted_terminal(model_jumps, contract, t, cfg)
 
 
 # ------------------------------------------------------------- single paths
@@ -243,9 +249,9 @@ def test_discounted_terminal_martingale(model_jumps, contract):
 
 
 def test_estimates_bit_identical_across_workers(model_jumps, contract):
-    cfg = _cfg(n_paths=200, seed=17)
-    one = estimate_value(model_jumps, contract, A_STAR_JUMPS, cfg, workers=1)
-    two = estimate_value(model_jumps, contract, A_STAR_JUMPS, cfg, workers=2)
+    cfg = _cfg(n_paths=200, seed=17, workers=1)
+    one = estimate_value(model_jumps, contract, A_STAR_JUMPS, cfg)
+    two = estimate_value(model_jumps, contract, A_STAR_JUMPS, dataclasses.replace(cfg, workers=2))
     assert one.mean == two.mean
     assert one.stderr == two.stderr
 
@@ -278,36 +284,21 @@ def recording_pool(monkeypatch):
 def test_pool_never_exceeds_the_chunk_count(model_jumps, contract, recording_pool):
     # 100 paths over 64 workers make 50 chunks of two paths: 50 processes, not 64.
     cfg = _cfg(n_paths=100, seed=17)
-    many = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=mc._MAX_WORKERS)
+    many = simulate_paths(
+        model_jumps, contract, A_STAR_JUMPS, dataclasses.replace(cfg, workers=mc._MAX_WORKERS)
+    )
     assert recording_pool == [50]
     assert _same_paths(many, simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg))
-
-
-def test_workers_above_the_limit_are_refused(model_jumps, contract, recording_pool):
-    cfg = _cfg(n_paths=5000, seed=17)
-    with pytest.raises(ConfigError, match="at most 64"):
-        simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=mc._MAX_WORKERS + 1)
-    with pytest.raises(ConfigError):
-        estimate_discounted_terminal(model_jumps, contract, 1.0, cfg, workers=5000)
-    assert recording_pool == []
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_workers_below_one_are_refused(workers, model_jumps, contract, recording_pool):
-    cfg = _cfg(n_paths=5000, seed=17)
-    with pytest.raises(ConfigError, match="at least 1"):
-        simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=workers)
-    with pytest.raises(ConfigError, match="at least 1"):
-        estimate_discounted_terminal(model_jumps, contract, 1.0, cfg, workers=workers)
-    assert recording_pool == []
 
 
 def test_traces_bit_identical_across_workers(model_jumps, contract):
     for mode in McMode:
         cfg = _cfg(n_paths=200, seed=17, mode=mode)
-        one = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=1)
+        one = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg)
         for workers in (2, 3):
-            many = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg, workers=workers)
+            many = simulate_paths(
+                model_jumps, contract, A_STAR_JUMPS, dataclasses.replace(cfg, workers=workers)
+            )
             assert _same_paths(many, one)
 
 
