@@ -118,7 +118,16 @@ def _build_model_contract(args: argparse.Namespace):
     return model, Contract(strike=args.strike, barrier=args.barrier, spot=args.spot)
 
 
-def _build_mc_config(args: argparse.Namespace, r: float) -> McConfig:
+def _build_mc_config(args: argparse.Namespace, r: float, simulates: bool) -> McConfig | None:
+    """The run's McConfig; None for a command that will not simulate, which
+    refuses every MC setting, by flag or config file: nothing would read it."""
+    if not simulates:
+        mc_keys = ("paths", "horizon", "seed", "workers", "mode")
+        given = [key for key in mc_keys if getattr(args, key, None) is not None]
+        if given:
+            raise ConfigError(f"{args.command} runs no simulation here; it takes no {', '.join(given)}")
+        return None
+
     from .mc import McConfig, McMode
 
     if args.seed is None:
@@ -182,8 +191,9 @@ def cmd_price(args: argparse.Namespace) -> int:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     model, contract = _build_model_contract(args)
+    cfg = _build_mc_config(args, model.r, simulates=args.mc)
     basis = basis_for(model)
-    if args.grid_step is None and not args.mc:
+    if args.grid_step is None and cfg is None:
         _emit(
             {
                 "a_star": optimal_threshold(basis, model, contract),
@@ -208,17 +218,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         )
     count = int(span) + 1
     grid = [lo + i * step for i in range(count)]
-    if args.mc:
-        cfg = _build_mc_config(args, model.r)
-        a_hat, _values = grid_search_threshold(model, contract, grid, cfg)
-        method = "grid-mc"
-    else:
-        a_hat, _values = grid_search_threshold(model, contract, grid)
-        method = "grid-closed-form"
+    a_hat, _values = grid_search_threshold(model, contract, grid, cfg)
     _emit(
         {
             "a_star": a_hat,
-            "method": method,
+            "method": "grid-closed-form" if cfg is None else "grid-mc",
             "grid": {"min": grid[0], "max": grid[-1], "step": step, "points": len(grid)},
             "params_echo": _params_echo(model, contract),
         }
@@ -253,11 +257,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from .diagnostics import analytic_suite, mc_suite
 
     model, contract = _build_model_contract(args)
+    cfg = _build_mc_config(args, model.r, simulates=args.suite != "analytic")
     results = []
     if args.suite in ("analytic", "all"):
         results.extend(analytic_suite(model, contract))
-    if args.suite in ("mc", "all"):
-        results.extend(mc_suite(model, contract, _build_mc_config(args, model.r)))
+    if cfg is not None:
+        results.extend(mc_suite(model, contract, cfg))
 
     width = max(len(res.name) for res in results)
     for res in results:
@@ -275,7 +280,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .mc import simulate_paths
 
     model, contract = _build_model_contract(args)
-    cfg = _build_mc_config(args, model.r)
+    cfg = _build_mc_config(args, model.r, simulates=True)
     if args.threshold is not None:
         a = args.threshold
     else:

@@ -31,7 +31,6 @@ from .mc import (
     McEstimate,
     McMode,
     estimate_discounted_terminal,
-    estimate_value,
     simulate_paths,
 )
 
@@ -221,7 +220,10 @@ def mc_suite(m: ModelParams, c: Contract, cfg: McConfig) -> list[CheckResult]:
     a_star, closed = rep.a_star, rep.value
     out: list[CheckResult] = []
 
-    paths = simulate_paths(m, c, a_star, replace(cfg, mode=McMode.SURVIVAL_WEIGHTED))
+    # One direct-mode run: its stops are survival mode's, so the survival
+    # figures come from the same record with the closed-form weight.
+    direct = simulate_paths(m, c, a_star, replace(cfg, mode=McMode.DIRECT_LAST_PASSAGE))
+    paths = replace(direct, returned=None)
     est = paths.value(m, c)
     floor = 0.01 if m.lam == 0.0 else 0.015
     out.append(
@@ -274,20 +276,15 @@ def mc_suite(m: ModelParams, c: Contract, cfg: McConfig) -> list[CheckResult]:
         )
     )
 
-    # Direct mode needs its own, smaller run: its paths go on past the stop.
-    direct_cfg = replace(
-        cfg,
-        n_paths=max(100, cfg.n_paths // 10),
-        mode=McMode.DIRECT_LAST_PASSAGE,
-    )
-    est_d = estimate_value(m, c, a_star, direct_cfg)
-    combined = math.hypot(est.stderr, est_d.stderr)
+    # The two weights of each path, paired: their difference cancels the
+    # payoff's noise and leaves the return's.
+    gap = McEstimate.from_sample(direct.payoffs(m, c) - paths.payoffs(m, c))
     out.append(
         _check(
             "survival and direct modes agree",
-            abs(est.mean - est_d.mean),
-            3.0 * combined + est_d.truncation_bound,
-            f"survival {est.mean:.4f} vs direct {est_d.mean:.4f}",
+            abs(gap.mean),
+            3.0 * gap.stderr,
+            f"survival {est.mean:.4f} vs direct {direct.value(m, c).mean:.4f}",
         )
     )
 

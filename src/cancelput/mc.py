@@ -3,9 +3,11 @@
 Paths are simulated exactly in log space, one jump epoch at a time, with
 no time grid (Metwally & Atiya 2002).  Jump gaps and sizes are
 exponential; each Brownian segment between jumps draws its endpoint, then
-whether its bridge crept through the threshold, then when.  One kernel
-serves every estimator, moving all active paths of a chunk forward a
-block of jump epochs per numpy step.
+whether its bridge crept through the level, then when.  One kernel, the
+first passage of a level, serves every run: the stop, direct mode's return
+to the barrier under an Esscher tilt (see ``_tilt``), and the terminal
+sampler.  It moves all active paths of a chunk forward a block of jump
+epochs per numpy step.
 
 Randomness is counter-based: every random word is Philox4x32-10 (Salmon
 et al., SC'11) of the counter (event, purpose, path) under the 64-bit seed
@@ -20,12 +22,12 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import ModelParams
+from .model import ModelParams, _laplace_exponent_deriv, _psi_rational
 from .pricer import Contract
 
 #: Path-events per kernel step; bounds every temporary array.
@@ -34,12 +36,15 @@ _CAP = 1 << 12
 _FIRST_EVENTS = 16
 #: Most worker processes one run may ask for; more is a ConfigError.
 _MAX_WORKERS = 64
-#: Direct mode finishes a stopped path at the first jump that lands where
-#: its exact return probability e^{alpha (h - x)} is below this (0: never).
-_RETURN_EPS = 1e-9
+#: The return run ends at log(_RETURN_BIAS)/psi(theta), after which every
+#: weight e^{-theta l + psi(theta) T} is below this: it bounds the bias.
+_RETURN_BIAS = 1e-12
+#: Bisection steps for the tilt's root and minimum of psi on (0, 1).
+_TILT_STEPS = 40
 
-# Counter purposes: each yields two uniforms per (event, path).
-_P_NORMAL, _P_CROSS, _P_JUMP, _P_RETURN = 0, 1, 2, 3
+# Counter purposes of a run's (normal, crossing, jump) draws: each yields
+# two uniforms per (event, path).
+_STOP, _RETURN = (0, 1, 2), (3, 4, 5)
 
 _PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
@@ -98,15 +103,14 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class PolicyPaths:
-    """Per-path outcome of one kernel run of the stop-below-``a`` policy.
+    """Per-path outcome of one run of the stop-below-``a`` policy.
 
     ``tau`` and ``s_tau`` are NaN where the horizon came first, and
     ``crossing`` holds "none", "creep" or "jump".  In direct mode
     ``returned`` is each path's weight for returning to the barrier after
-    it stopped: 1 when the simulation saw the return, else the exact return
-    probability from where the simulation left the path, either at the
-    first jump that took that probability below ``_RETURN_EPS`` or at the
-    horizon (0 for a path that never stopped); it is None in survival mode.
+    it stopped: e^{-theta (h - X_tau) + psi(theta) T} for a return at time
+    T under the tilt (see ``_tilt``), 0 for a path that never stopped or
+    did not return before the cut-off.  It is None in survival mode.
     """
 
     tau: np.ndarray
@@ -115,18 +119,20 @@ class PolicyPaths:
     returned: np.ndarray | None
     horizon: float
 
-    def value(self, m: ModelParams, c: Contract) -> McEstimate:
-        """Discounted put payoff at the stop, weighted by the survival factor
-        min((h/S_tau)^alpha, 1) in survival mode, by ``returned`` in direct
-        mode; paths the horizon cut pay nothing."""
+    def payoffs(self, m: ModelParams, c: Contract) -> np.ndarray:
+        """Per-path discounted put payoff at the stop, weighted by the
+        survival factor min((h/S_tau)^alpha, 1) in survival mode, by
+        ``returned`` in direct mode; paths the horizon cut pay nothing."""
         discount = np.exp(-m.r * np.nan_to_num(self.tau, nan=math.inf))
         s_tau = np.nan_to_num(self.s_tau, nan=c.strike)
         pay = discount * np.maximum(c.strike - s_tau, 0.0)
         if self.returned is None:
-            pay = pay * np.minimum((c.barrier / s_tau) ** m.alpha, 1.0)
-        else:
-            pay = pay * self.returned
-        return McEstimate.from_sample(pay, math.exp(-m.r * self.horizon) * c.strike)
+            return pay * np.minimum((c.barrier / s_tau) ** m.alpha, 1.0)
+        return pay * self.returned
+
+    def value(self, m: ModelParams, c: Contract) -> McEstimate:
+        """Mean of ``payoffs``; e^{-r horizon} K bounds the cut paths' pay."""
+        return McEstimate.from_sample(self.payoffs(m, c), math.exp(-m.r * self.horizon) * c.strike)
 
     def passage_factors(self, m: ModelParams) -> tuple[McEstimate, McEstimate]:
         """E[e^{-r tau}] split into creep and jump crossings; paths the
@@ -198,10 +204,10 @@ def _crossing_time(
     d1: np.ndarray, d2: np.ndarray, seg: np.ndarray, z: np.ndarray, u: np.ndarray,
     sigma2: float,
 ) -> np.ndarray:
-    """Time into a segment at which its bridge first touches the threshold.
+    """Time into a segment at which its bridge first touches the level.
 
-    The bridge starts d1 > 0 above the threshold and ends d2 from it (either
-    side) after ``seg``; given that it touches, s = seg v/(1+v) with
+    The bridge starts d1 > 0 from the level and ends d2 from it (negative:
+    past it) after ``seg``; given that it touches, s = seg v/(1+v) with
     v ~ IG(d1/|d2|, d1^2/(sigma2 seg)), sampled by Michael, Schucany & Haas
     from the normal ``z`` and the uniform ``u``.  Written in theta = |d2|/d1
     so that d2 = 0 (the Levy limit) needs no special case.
@@ -213,54 +219,45 @@ def _crossing_time(
 
 
 def _simulate(
-    m: ModelParams, b: float, h: float, horizon: float, seed: int,
-    lo: int, hi: int, direct: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate paths [lo, hi), each started at x = 0, to their stopping time.
+    m: ModelParams, level: np.ndarray, horizon: float, seed: int, ids: np.ndarray,
+    purposes: tuple[int, int, int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate paths ``ids``, each started at x = 0, to its first passage.
 
-    A path stops at its first passage to or below ``b`` (b < 0), or at
-    ``horizon``.  Returns per-path arrays (tau, x, crossing, hit): tau is
-    NaN and crossing "none" when the horizon comes first, and x is then the
-    position at the horizon; a creep records x = b exactly, a jump its
-    landing point.  With ``direct`` each stopped path goes on until it
-    returns to ``h`` or above (hit 1), a jump lands it at X with
-    e^{alpha (h - X)} < _RETURN_EPS, or the horizon comes.  In the last two
-    cases hit is the exact probability of a later return from where the
-    path is, min(e^{alpha (h - X)}, 1): without upward jumps the process
-    reaches h from X with that probability (strong Markov property).  The
-    early finish is decided jump by jump, so it does not depend on how many
-    events a step draws.  With b = -inf no path stops and x samples
-    X_horizon.
+    Path ``ids[i]`` stops at its first passage to or past ``level[i]``, down
+    to a level below 0 and up to one above, or at ``horizon``.  Every jump is
+    down, so only a level below 0 can be jumped past; a passage up is a
+    creep.  Returns per-path arrays (tau, x, crossing): tau is NaN and
+    crossing "none" when the horizon comes first, and x is then the position
+    at the horizon; a creep records x = level exactly, a jump its landing
+    point.  With level -inf no path stops and x samples X_horizon.
+    ``purposes`` are the counter purposes of the normal, crossing and jump
+    draws, so two runs over the same paths use independent numbers.
     """
     jumps = m.lam > 0.0
-    purposes = [_P_NORMAL, _P_CROSS] + [_P_JUMP] * jumps + [_P_RETURN] * direct
-    slot = {p: i for i, p in enumerate(purposes)}
+    drawn = list(purposes[: 3 if jumps else 2])
     sig = math.sqrt(m.sigma2)
-    n = hi - lo
-    # A stopped path landing below ``floor`` returns with probability < eps.
-    floor = h - math.log(_RETURN_EPS) / m.alpha if _RETURN_EPS > 0.0 else -math.inf
+    n = ids.size
     tau = np.full(n, np.nan)
     x_stop = np.zeros(n)
     crossing = np.full(n, "none", dtype="<U5")
-    hit = np.zeros(n)
 
-    for first in range(lo, hi, _CAP):
-        ids = np.arange(first, min(first + _CAP, hi), dtype=np.uint64)
-        t = np.zeros(ids.size)
-        x = np.zeros(ids.size)
-        after = np.zeros(ids.size, dtype=bool)  # stopped; watching for h (direct)
+    for first in range(0, n, _CAP):
+        pos = np.arange(first, min(first + _CAP, n))
+        t = np.zeros(pos.size)
+        x = np.zeros(pos.size)
         event, grow = 0, _FIRST_EVENTS
-        while ids.size:
-            k = ids.size
+        while pos.size:
+            k = pos.size
             e = max(1, min(grow, _CAP // k)) if jumps else 1  # no jump: one segment
-            ua, ub = _uniforms(seed, purposes, event, e, ids)
-            pos = (ids - np.uint64(lo)).astype(np.intp)
+            ua, ub = _uniforms(seed, drawn, event, e, ids[pos])
+            lv = level[pos][:, None]
 
             # Segment clocks and endpoints, accumulated in event order so the
             # values never depend on e.
             if jumps:
-                gap = -np.log(ua[slot[_P_JUMP]]) / m.lam
-                shift = np.log(ub[slot[_P_JUMP]]) / m.rho  # the (negative) jump
+                gap = -np.log(ua[2]) / m.lam
+                shift = np.log(ub[2]) / m.rho  # the (negative) jump
             else:
                 gap = np.full((k, e), np.inf)
                 shift = np.zeros((k, e))
@@ -272,8 +269,8 @@ def _simulate(
                 np.concatenate((np.ones((k, 1), dtype=bool), fires[:, :-1]), axis=1), axis=1
             )
             seg = np.where(alive, np.minimum(gap, left), np.nan)
-            radius = np.sqrt(-2.0 * np.log(ua[slot[_P_NORMAL]]))
-            angle = (2.0 * math.pi) * ub[slot[_P_NORMAL]]
+            radius = np.sqrt(-2.0 * np.log(ua[0]))
+            angle = (2.0 * math.pi) * ub[0]
             walk = np.empty((k, 2 * e + 1))
             walk[:, 0] = x
             walk[:, 1::2] = m.mu * seg + sig * np.sqrt(seg) * (radius * np.cos(angle))
@@ -283,118 +280,113 @@ def _simulate(
             ended = alive & ~fires  # the segment ran to the horizon
             reached = ended.any(axis=1)
 
-            # First passage to b: a creep inside a segment, else a jump below.
-            d1, d2 = x0 - b, x1 - b
-            creep = ua[slot[_P_CROSS]] < _bridge_touch(d1, d2, seg, m.sigma2)
-            crossed = alive & (creep | (fires & (xj <= b))) & ~after[:, None]
+            # First passage: a creep inside a segment, else a jump below.
+            # d1, d2 are distances to the level, positive on the start side.
+            below = lv < 0.0
+            side = np.where(below, 1.0, -1.0)
+            d1, d2 = side * (x0 - lv), side * (x1 - lv)
+            creep = ua[1] < _bridge_touch(d1, d2, seg, m.sigma2)
+            crossed = alive & (creep | (fires & below & (xj <= lv)))
             stops = crossed.any(axis=1)
             ks = crossed.argmax(axis=1)
             cr = np.flatnonzero(stops & creep[np.arange(k), ks])
             kc = ks[cr]
             s = _crossing_time(
                 d1[cr, kc], d2[cr, kc], seg[cr, kc],
-                radius[cr, kc] * np.sin(angle[cr, kc]), ub[slot[_P_CROSS]][cr, kc],
-                m.sigma2,
+                radius[cr, kc] * np.sin(angle[cr, kc]), ub[1][cr, kc], m.sigma2,
             )
             tau[pos[stops]] = clock[stops, ks[stops] + 1]
             x_stop[pos[stops]] = xj[stops, ks[stops]]
             crossing[pos[stops]] = "jump"
             tau[pos[cr]] = t0[cr, kc] + s
-            x_stop[pos[cr]] = b
+            x_stop[pos[cr]] = lv[cr, 0]
             crossing[pos[cr]] = "creep"
-            lost = ~stops & ~after & reached
+            lost = ~stops & reached
             x_stop[pos[lost]] = x1[lost, ended[lost].argmax(axis=1)]
 
-            if direct:
-                # Return to h after the stop: the rest of a crept segment is a
-                # bridge from b to its endpoint; later segments are whole.
-                # Every jump from the stop on, the stopping one included, may
-                # sink the path below the floor.  A segment's return comes
-                # before the jump that ends it; the first event decides.
-                watch = after | stops
-                start = np.where(after, -1, ks)[:, None]
-                epoch = np.arange(e)
-                back = ua[slot[_P_RETURN]] < _bridge_touch(h - x0, h - x1, seg, m.sigma2)
-                back &= alive & (epoch > start) & watch[:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):  # s may round to seg
-                    p_rest = _bridge_touch(h - b, h - x1[cr, kc], seg[cr, kc] - s, m.sigma2)
-                back[cr, kc] = ua[slot[_P_RETURN]][cr, kc] < p_rest
-                happened = np.empty((k, 2 * e), dtype=bool)  # return, then jump
-                happened[:, 0::2] = back
-                happened[:, 1::2] = alive & fires & (epoch >= start) & (xj < floor)
-                happened &= watch[:, None]
-                first = happened.argmax(axis=1)
-                decided = happened.any(axis=1)
-                hit[pos[decided & (first % 2 == 0)]] = 1.0
-                sunk = np.flatnonzero(decided & (first % 2 == 1))
-                hit[pos[sunk]] = np.exp(m.alpha * (h - xj[sunk, first[sunk] // 2]))
-                pending = watch & ~decided & reached
-                x_end = x1[pending, ended[pending].argmax(axis=1)]
-                hit[pos[pending]] = np.minimum(np.exp(m.alpha * (h - x_end)), 1.0)
-                done = lost | (watch & (decided | reached))
-                after = watch
-            else:
-                done = stops | lost
-
-            keep = ~done
-            ids, after = ids[keep], after[keep]
-            t, x = clock[keep, e], walk[keep, 2 * e]
+            keep = ~(stops | lost)
+            pos, t, x = pos[keep], clock[keep, e], walk[keep, 2 * e]
             event += e
             grow *= 2
-    return tau, x_stop, crossing, hit
-
-
-def _chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    step = -(-n // workers)
-    return [(first, min(first + step, n)) for first in range(0, n, step)]
+    return tau, x_stop, crossing
 
 
 def _run_paths(
-    m: ModelParams, b: float, h: float, horizon: float, cfg: McConfig, direct: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_simulate`` over ``cfg``'s paths, in process or one pool worker per chunk."""
+    m: ModelParams, level, horizon: float, cfg: McConfig, ids: np.ndarray,
+    purposes: tuple[int, int, int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_simulate`` of paths ``ids`` to ``level`` (one, or one per path), in
+    process or one pool worker per chunk of ``cfg.workers``."""
+    level = np.broadcast_to(np.asarray(level, dtype=float), ids.shape)
+    step = max(1, -(-ids.size // cfg.workers))
     chunks = [
-        (m, b, h, horizon, int(cfg.seed), first, last, direct)
-        for first, last in _chunk_bounds(cfg.n_paths, cfg.workers)
+        (m, level[i : i + step], horizon, int(cfg.seed), ids[i : i + step], purposes)
+        for i in range(0, ids.size, step)
     ]
-    if len(chunks) == 1:
-        parts = [_simulate(*chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_simulate, *zip(*chunks)))
+    if len(chunks) <= 1:
+        return _simulate(m, level, horizon, int(cfg.seed), ids, purposes)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = list(pool.map(_simulate, *zip(*chunks)))
     return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _tilt(m: ModelParams) -> tuple[float, float, ModelParams]:
+    """(theta, psi(theta), the law of X under P^theta) for the return run.
+
+    Under the Esscher tilt P^theta with psi(theta) < 0 < psi'(theta) the
+    process drifts up, so every stopped path returns, and the likelihood
+    ratio e^{-theta l + psi(theta) T} of a return over l at time T has mean
+    P(return) (Siegmund 1976; Asmussen & Albrecher 2010, ch. XV).  psi's
+    minimum and positive root lie in (0, 1), as psi(0) = 0 > psi'(0) and
+    psi(1) = r; theta is 3/4 of the way from the one to the other.  It comes
+    from psi alone, never from ``m.alpha``: at the root -alpha each weight
+    would be the survival factor, and the modes would no longer check it.
+    """
+
+    def bisect(f, lo: float, hi: float) -> float:
+        for _ in range(_TILT_STEPS):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f(m, mid) < 0.0 else (lo, mid)
+        return lo
+
+    low = bisect(_laplace_exponent_deriv, 0.0, 1.0)
+    theta = low + 0.75 * (bisect(_psi_rational, low, 1.0) - low)
+    mu, lam, rho = m.mu + m.sigma2 * theta, m.lam * m.rho / (m.rho + theta), m.rho + theta
+    return theta, _psi_rational(m, theta), replace(m, mu=mu, lam=lam, rho=rho)
 
 
 def simulate_paths(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> PolicyPaths:
     """Run ``cfg``'s paths under the policy that stops at the first passage
     to or below ``a``, in ``cfg.mode``.
 
-    Direct mode simulates each stopped path on, to weight its payoff by
-    whether it returns to the barrier (exercise strictly before the last
-    visit); survival mode stops there and leaves the weight to the closed
-    form.
+    Both modes stop the same paths at the same points.  Direct mode then
+    runs each stopped path again, from the stop and under the tilt (see
+    ``_tilt``), to its first passage up to the barrier, and weights its
+    payoff by that return's likelihood ratio (exercise strictly before the
+    last visit); survival mode leaves the weight to the closed form.
     """
     if not (0.0 < a < min(c.strike, c.spot)):
-        raise ConfigError(
-            f"threshold must lie in (0, min(strike, spot)), got a={a}"
-        )
+        raise ConfigError(f"threshold must lie in (0, min(strike, spot)), got a={a}")
     if cfg.horizon < 10.0 / m.r:
         raise ConfigError(
             f"horizon {cfg.horizon} too short: need >= 10/r = {10.0 / m.r:g} "
             "so the truncation tail is negligible"
         )
-    direct = cfg.mode is McMode.DIRECT_LAST_PASSAGE
-    tau, x, crossing, hit = _run_paths(
-        m, math.log(a / c.spot), math.log(c.barrier / c.spot), cfg.horizon, cfg, direct
-    )
+    ids = np.arange(cfg.n_paths, dtype=np.uint64)
+    tau, x, crossing = _run_paths(m, math.log(a / c.spot), cfg.horizon, cfg, ids, _STOP)
+    returned = None
+    if cfg.mode is McMode.DIRECT_LAST_PASSAGE:
+        theta, psi, tilted = _tilt(m)
+        stopped = np.flatnonzero(crossing != "none")
+        rise = math.log(c.barrier / c.spot) - x[stopped]
+        back, _x, _kind = _run_paths(
+            tilted, rise, math.log(_RETURN_BIAS) / psi, cfg, ids[stopped], _RETURN
+        )
+        returned = np.zeros(cfg.n_paths)
+        returned[stopped] = np.exp(-theta * rise + psi * np.nan_to_num(back, nan=math.inf))
     s_tau = np.where(crossing == "creep", a, c.spot * np.exp(x))
-    return PolicyPaths(
-        tau=tau,
-        s_tau=np.where(crossing == "none", np.nan, s_tau),
-        crossing=crossing,
-        returned=hit if direct else None,
-        horizon=cfg.horizon,
-    )
+    s_tau = np.where(crossing == "none", np.nan, s_tau)
+    return PolicyPaths(tau, s_tau, crossing, returned, cfg.horizon)
 
 
 def estimate_value(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> McEstimate:
@@ -413,5 +405,6 @@ def estimate_discounted_terminal(
     """
     if not (t > 0.0):
         raise ConfigError(f"sampling time must be positive, got t={t}")
-    _tau, x, _crossing, _hit = _run_paths(m, -math.inf, math.inf, t, cfg, False)
+    ids = np.arange(cfg.n_paths, dtype=np.uint64)
+    x = _run_paths(m, -math.inf, t, cfg, ids, _STOP)[1]
     return McEstimate.from_sample(math.exp(-m.r * t) * c.spot * np.exp(x))

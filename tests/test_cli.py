@@ -205,6 +205,27 @@ def test_config_file_input_errors_exit_2(argv, line, message, tmp_path, capsys):
     assert message in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["threshold", "--mode", "direct", "--workers", "99", "--paths", "5"], ""),
+        (["threshold", "--grid-min", "40", "--grid-max", "80", "--grid-step", "10",
+          "--seed", "3"], ""),
+        (["validate", "--suite", "analytic", "--workers", "99", "--paths", "5"], ""),
+        (["threshold"], "workers = 2"),
+        (["validate", "--suite", "analytic"], "horizon = 300"),
+    ],
+)
+def test_mc_setting_on_a_command_that_does_not_simulate_exit_2(argv, line, tmp_path, capsys):
+    # threshold without --mc and validate --suite analytic read no MC
+    # setting, so one given by flag or file is refused, not ignored.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(JUMPS_FILE + line + "\n")
+    code, doc = run_json([*argv, "--config", str(cfg)], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert "runs no simulation" in doc["error"]["message"]
+
+
 # --------------------------------------------------------------- threshold
 
 

@@ -1,10 +1,14 @@
-"""The analytic suite's W checks: the array evaluation of W they run on."""
+"""The suites' own power: the analytic suite's W checks and the array
+evaluation of W they run on, and the Monte Carlo suite's mode agreement."""
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cancelput import diagnostics, scale
+from cancelput.mc import McConfig
 from cancelput.scale import ScaleBasis, basis_for, w_r
 
 W_CHECK = "W nonnegative and nondecreasing"
@@ -50,3 +54,23 @@ def test_analytic_suite_does_not_evaluate_w_point_by_point(
     for m in (model_nojump, model_jumps):
         assert all(res.passed for res in diagnostics.analytic_suite(m, contract))
     assert len(calls) < 200
+
+
+AGREE = "survival and direct modes agree"
+
+
+@pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
+def test_mode_agreement_catches_a_survival_weight_off_by_two_percent(model, request, contract):
+    # Direct mode's tilt comes from psi alone, so an alpha 2% off moves only
+    # the survival weight (h/S_tau)^alpha.  The paired band is under 0.5% of
+    # V at 10,000 paths, so the check must see it; the true alpha passes.
+    m = request.getfixturevalue(model)
+    cfg = McConfig(n_paths=10_000, horizon=200.0, seed=1)
+
+    def agree(m):
+        (res,) = [res for res in diagnostics.mc_suite(m, contract, cfg) if res.name == AGREE]
+        return res
+
+    assert agree(m).passed
+    off = agree(replace(m, alpha=1.02 * m.alpha))
+    assert not off.passed and off.observed > off.bound

@@ -23,7 +23,7 @@ from cancelput.mc import (
     estimate_value,
     simulate_paths,
 )
-from cancelput.model import ModelParams, make_model
+from cancelput.model import ModelParams, _laplace_exponent_deriv, laplace_exponent, make_model
 from cancelput.pricer import Contract, grid_search_threshold
 
 A_STAR_NOJUMP = 50.0
@@ -53,10 +53,10 @@ def _same_paths(p, q) -> bool:
 
 
 def _replay(m, c, a, cfg, path):
-    """Path ``path`` of ``cfg`` simulated alone: (tau, x, crossing, hit)."""
+    """Path ``path`` of ``cfg`` stopped alone: (tau, x, crossing)."""
     return mc._simulate(
-        m, math.log(a / c.spot), math.log(c.barrier / c.spot), cfg.horizon, cfg.seed,
-        path, path + 1, False,
+        m, np.array([math.log(a / c.spot)]), cfg.horizon, cfg.seed,
+        np.array([path], dtype=np.uint64), mc._STOP,
     )
 
 
@@ -115,7 +115,7 @@ def test_single_path_replays_its_trace(model_jumps, contract):
     cfg = _cfg(n_paths=200, seed=4)
     batch = simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg)
     for i in range(cfg.n_paths):
-        tau, x, crossing, _hit = _replay(model_jumps, contract, A_STAR_JUMPS, cfg, i)
+        tau, x, crossing = _replay(model_jumps, contract, A_STAR_JUMPS, cfg, i)
         assert crossing[0] == batch.crossing[i]
         assert np.array_equal(tau, batch.tau[i : i + 1], equal_nan=True)
         if crossing[0] == "jump":
@@ -225,9 +225,10 @@ def test_direct_mode_runs(model_jumps, contract):
 
 
 def test_direct_mode_counts_returns_after_the_horizon(model_nojump, contract):
-    # A path that stopped but is still below h at the horizon returns later
-    # with probability min(e^{alpha (log(h/s0) - X_H)}, 1).  Paying it nothing
-    # left the estimate 0.9% low, about 4.7 standard errors at this size.
+    # The return run has its own cut-off, far past the policy's horizon, so
+    # a path that returns after that horizon still counts.  Paying such
+    # returns nothing left the estimate 0.9% low, about 4.7 standard errors
+    # at this size.  Each weight is a likelihood ratio below 1.
     cfg = McConfig(n_paths=200_000, horizon=200.0, seed=5, mode=McMode.DIRECT_LAST_PASSAGE)
     est = estimate_value(model_nojump, contract, A_STAR_NOJUMP, cfg)
     assert abs(est.mean - VALUE_NOJUMP) <= 3.0 * est.stderr + est.truncation_bound
@@ -326,56 +327,89 @@ def test_direct_mode_identical_across_event_blocks(
     assert _same_paths(simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg), ref)
 
 
-# -------------------------------------------------------- early finish (direct)
+# ------------------------------------------------------------ direct mode
 
 
-def _direct_with_and_without_early_finish(m, c, a, cfg):
-    """The same direct-mode run with the early finish on and off."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mc, "_RETURN_EPS", 0.0)
-        off = simulate_paths(m, c, a, cfg)
-    return simulate_paths(m, c, a, cfg), off
+@pytest.mark.parametrize("which", ["model_nojump", "model_jumps"])
+def test_direct_mode_stops_where_survival_mode_does(which, request, contract):
+    # Direct mode runs the stop as survival mode does, on the same counter
+    # purposes, and only then runs the return.
+    m = request.getfixturevalue(which)
+    a = A_STAR_JUMPS if m.lam > 0.0 else A_STAR_NOJUMP
+    cfg = _cfg(n_paths=300, seed=19)
+    survival = simulate_paths(m, contract, a, cfg)
+    direct = simulate_paths(m, contract, a, dataclasses.replace(cfg, mode=McMode.DIRECT_LAST_PASSAGE))
+    assert direct.returned is not None
+    assert _same_paths(dataclasses.replace(direct, returned=None), survival)
 
 
-@pytest.fixture(scope="module")
-def paper_direct_runs(model_jumps, contract):
-    cfg = _cfg(n_paths=1000, seed=19, mode=McMode.DIRECT_LAST_PASSAGE)
-    return _direct_with_and_without_early_finish(model_jumps, contract, A_STAR_JUMPS, cfg)
+@pytest.mark.parametrize("which, a", [("model_nojump", 0.01), ("model_jumps", A_STAR_JUMPS)])
+def test_direct_weights_are_bounded_likelihood_ratios(which, a, request, contract):
+    # A return at time T weighs e^{-theta l + psi(theta) T} with psi(theta) < 0,
+    # so at most e^{-theta l} for the rise l = h - X_tau; a path that never
+    # stopped has nothing to return from and weighs 0.  At a = 0.01 the
+    # diffusion leaves some paths at the horizon.
+    m = request.getfixturevalue(which)
+    theta = mc._tilt(m)[0]
+    paths = simulate_paths(m, contract, a, _cfg(n_paths=300, seed=23, mode=McMode.DIRECT_LAST_PASSAGE))
+    stopped = paths.crossing != "none"
+    rise = math.log(contract.barrier / contract.spot) - np.log(paths.s_tau[stopped] / contract.spot)
+    weight = paths.returned[stopped]
+    assert np.all((weight >= 0.0) & (weight <= np.exp(-theta * rise) * (1.0 + 1e-12)))
+    assert np.all(weight > 0.0)  # every stopped path came back before the cut-off
+    assert np.all(paths.returned[~stopped] == 0.0)
+    assert stopped.any() and (m.lam > 0.0 or not stopped.all())
 
 
-def test_early_finish_weights_sunk_paths_by_their_return_probability(paper_direct_runs):
-    # On the paper's jump set most stopped paths sink far below h and never
-    # come back; they finish at the sinking jump with weight e^{alpha (h - X)},
-    # under 1e-9.  The stop itself does not move.
-    on, off = paper_direct_runs
-    sunk = on.returned != off.returned
-    assert sunk.sum() > 100
-    assert np.all((on.returned[sunk] > 0.0) & (on.returned[sunk] <= mc._RETURN_EPS))
-    assert np.array_equal(on.tau, off.tau, equal_nan=True)
-    assert np.array_equal(on.s_tau, off.s_tau, equal_nan=True)
-    assert np.array_equal(on.crossing, off.crossing)
+def test_single_path_replays_both_phases(model_jumps, contract):
+    # The return is a second kernel run over the stopped paths, on its own
+    # counter purposes, so each path's return also replays alone.
+    m, a = model_jumps, A_STAR_JUMPS
+    cfg = _cfg(n_paths=100, seed=4, mode=McMode.DIRECT_LAST_PASSAGE)
+    batch = simulate_paths(m, contract, a, cfg)
+    theta, psi, tilted = mc._tilt(m)
+    cut_off = math.log(mc._RETURN_BIAS) / psi
+    for i in range(cfg.n_paths):
+        tau, x, crossing = _replay(m, contract, a, cfg, i)
+        assert np.array_equal(tau, batch.tau[i : i + 1], equal_nan=True)
+        rise = math.log(contract.barrier / contract.spot) - x
+        back, _x, _kind = mc._simulate(
+            tilted, rise, cut_off, cfg.seed, np.array([i], dtype=np.uint64), mc._RETURN
+        )
+        weight = np.exp(-theta * rise + psi * np.nan_to_num(back, nan=math.inf))
+        assert weight[0] == batch.returned[i]
 
 
-def test_early_finish_leaves_the_estimate_in_place(paper_direct_runs, model_jumps, contract):
-    # The rule is exact, so it moves the estimate only by the sunk paths'
-    # weights: at most 1e-9 each.
-    on, off = paper_direct_runs
-    before = off.value(model_jumps, contract).mean
-    after = on.value(model_jumps, contract).mean
-    assert abs(after - before) <= 1e-6 * abs(before)
+MODELS_FOR_THE_TILT = [
+    make_model(r=0.05, sigma2=0.2, lam=0.0, rho=1.0),
+    make_model(r=0.05, sigma2=0.2, lam=5.0, rho=2.0),
+    make_model(r=0.01, sigma2=0.04, lam=0.0, rho=1.0),
+    make_model(r=0.2, sigma2=1.5, lam=0.3, rho=0.5),
+    make_model(r=0.03, sigma2=0.05, lam=20.0, rho=10.0),
+    make_model(r=0.05, sigma2=0.2, lam=1e-6, rho=2.0),
+]
 
 
-def test_early_finish_never_fires_without_jumps(model_nojump, contract):
-    # Without jumps a path has no jump epoch at which to finish early.
-    cfg = _cfg(n_paths=300, seed=19, mode=McMode.DIRECT_LAST_PASSAGE)
-    on, off = _direct_with_and_without_early_finish(model_nojump, contract, A_STAR_NOJUMP, cfg)
-    assert _same_paths(on, off)
+@pytest.mark.parametrize("m", MODELS_FOR_THE_TILT)
+def test_tilt_makes_the_return_sure_and_the_weight_small(m):
+    # psi(theta) < 0 makes every weight less than e^{-theta l}; psi'(theta) > 0
+    # makes the tilted process drift up, so every path returns.  theta is not
+    # the root -alpha, at which each weight would be the survival factor.
+    theta, psi, tilted = mc._tilt(m)
+    assert psi == laplace_exponent(m, theta)
+    assert psi < 0.0 < _laplace_exponent_deriv(m, theta)
+    assert theta != -m.alpha and 0.0 < theta < -m.alpha
+    # The tilted law's slope at 0 is psi'(theta): it drifts up.
+    assert _laplace_exponent_deriv(tilted, 0.0) == pytest.approx(
+        _laplace_exponent_deriv(m, theta), rel=1e-12
+    )
 
 
 def test_direct_mode_draws_bounded_events(model_jumps, contract, monkeypatch):
     # Work, counted rather than timed: path-events drawn per path.  Direct
     # mode drew 645 per path when it followed every stopped path to the
-    # horizon; survival mode's count is pinned exactly.
+    # horizon, and about 41 now that the tilted return ends at the barrier;
+    # survival mode's count is pinned exactly.
     drawn = []
     uniforms = mc._uniforms
 
@@ -390,7 +424,7 @@ def test_direct_mode_draws_bounded_events(model_jumps, contract, monkeypatch):
         simulate_paths(model_jumps, contract, A_STAR_JUMPS, _cfg(n_paths=100, seed=19, mode=mode))
         return sum(drawn) / 100
 
-    assert drawn_per_path(McMode.DIRECT_LAST_PASSAGE) <= 200.0
+    assert drawn_per_path(McMode.DIRECT_LAST_PASSAGE) <= 50.0
     assert drawn_per_path(McMode.SURVIVAL_WEIGHTED) == 18.88
 
 
