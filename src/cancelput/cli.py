@@ -75,15 +75,19 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     """Fill every setting no flag gave from the ``--config`` file.
 
     A file may hold only settings the command has a flag for, so none of
-    its keys can be silently ignored; flags override it.
+    its keys can be silently ignored; flags override it.  sigma and sigma2
+    are one setting: a flag for either overrides the file's.
     """
     if not args.config:
         return
+    flagged = {dest for dest, val in vars(args).items() if val is not None}
+    if flagged & {"sigma", "sigma2"}:
+        flagged |= {"sigma", "sigma2"}
     for key, raw in _read_config_file(args.config).items():
         dest, cast = _CONFIG_KEYS[key]
         if dest not in vars(args):
             raise ConfigError(f"config key {key!r} is not a setting of {args.command}")
-        if getattr(args, dest) is None:
+        if dest not in flagged:
             try:
                 setattr(args, dest, cast(raw))
             except ValueError as exc:
@@ -92,7 +96,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
 def _build_model_contract(args: argparse.Namespace):
     sigma2 = args.sigma2
-    if sigma2 is None and args.sigma is not None:
+    if sigma2 is not None and args.sigma is not None:
+        raise ConfigError("sigma and sigma2 are one setting; give only one of them")
+    if args.sigma is not None:
         if not (args.sigma > 0.0):
             raise InvalidParams(f"volatility must be positive, got sigma={args.sigma}")
         sigma2 = args.sigma * args.sigma
@@ -149,8 +155,6 @@ def _sig12(obj):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _sig12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sig12(v) for v in obj]
     return obj
 
 
@@ -170,6 +174,17 @@ def _params_echo(model, contract) -> dict:
         "barrier": contract.barrier,
         "spot": contract.spot,
     }
+
+
+def _write_rows(path: str, rows: list[str]) -> int:
+    """Write CSV rows to ``path``; exit 3 with a message if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(rows) + "\n")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    return _EXIT_OK
 
 
 def cmd_price(args: argparse.Namespace) -> int:
@@ -244,13 +259,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         pay = g_payoff(model, contract, s)
         val = value_at_threshold(basis, model, contract, s, a_star)
         rows.append(f"{s:.12g},{pay:.12g},{val:.12g}")
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    return _EXIT_OK
+    return _write_rows(args.out, rows)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -294,11 +303,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             zip(paths.tau.tolist(), paths.s_tau.tolist(), paths.crossing.tolist())
         )
     ]
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+    if _write_rows(args.out, rows) != _EXIT_OK:
         return _EXIT_IO
     stopped = int((paths.crossing != "none").sum())
     print(f"wrote {paths.tau.size} paths to {args.out} ({stopped} stopped before horizon)")

@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 from .errors import DegenerateCancellation, InvalidParams, PoleError
 
-#: Residual tolerance for the Newton polish of the cancellation exponent.
-_ALPHA_RESIDUAL_TOL = 1e-14
-_ALPHA_MAX_NEWTON = 50
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -39,6 +35,9 @@ class ModelParams:
 
 def make_model(r: float, sigma2: float, lam: float, rho: float) -> ModelParams:
     """Validate raw inputs, pin the martingale drift, solve for ``alpha``.
+
+    ``alpha`` is algebraic, with no iteration: 2 mu/sigma2 without jumps;
+    with them, minus the positive root of the quadratic psi(t)(t + rho)/t.
 
     Raises
     ------
@@ -75,39 +74,20 @@ def make_model(r: float, sigma2: float, lam: float, rho: float) -> ModelParams:
     if lam == 0.0:
         alpha = 2.0 * mu / sigma2
     else:
-        half_rho = rho / 2.0
-        ratio = mu / sigma2
-        alpha = half_rho + ratio - math.sqrt((half_rho - ratio) ** 2 + 2.0 * lam / sigma2)
+        # -alpha is the positive root of psi(t)(t + rho)/t
+        #   = (sigma2/2) t^2 + b t + (mu rho - lam),
+        # whose discriminant is a sum of squares (hypot neither cancels nor
+        # overflows).  mu rho - lam = rho * drift < 0, so the roots have
+        # opposite signs; each comes from the formula or from their product,
+        # whichever adds like signs.
+        b = mu + sigma2 * rho / 2.0
+        root_disc = math.hypot(mu - sigma2 * rho / 2.0, math.sqrt(2.0 * sigma2 * lam))
+        q = -(b + math.copysign(root_disc, b)) / 2.0
+        alpha = -max(2.0 * q / sigma2, (mu * rho - lam) / q)
 
-    model = ModelParams(r=r, sigma2=sigma2, lam=lam, rho=rho, mu=mu, alpha=alpha)
-    model = _polish_alpha(model)
-
-    if not (-1.0 < model.alpha < 0.0):
-        raise DegenerateCancellation(
-            f"cancellation exponent {model.alpha} escaped (-1, 0)"
-        )
-    return model
-
-
-def _polish_alpha(model: ModelParams) -> ModelParams:
-    """Newton-polish ``alpha`` until the Laplace exponent residual is ~0."""
-    alpha = model.alpha
-    for _ in range(_ALPHA_MAX_NEWTON):
-        resid = laplace_exponent(model, -alpha)
-        if abs(resid) <= _ALPHA_RESIDUAL_TOL:
-            break
-        slope = -_laplace_exponent_deriv(model, -alpha)
-        if slope == 0.0:
-            break
-        step = resid / slope
-        alpha -= step
-        if abs(step) < 1e-18:
-            break
-        model = ModelParams(
-            r=model.r, sigma2=model.sigma2, lam=model.lam, rho=model.rho,
-            mu=model.mu, alpha=alpha,
-        )
-    return model
+    if not (-1.0 < alpha < 0.0):
+        raise DegenerateCancellation(f"cancellation exponent {alpha} escaped (-1, 0)")
+    return ModelParams(r=r, sigma2=sigma2, lam=lam, rho=rho, mu=mu, alpha=alpha)
 
 
 def laplace_exponent(model: ModelParams, theta: float) -> float:

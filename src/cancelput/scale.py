@@ -133,23 +133,15 @@ def build_scale_basis(m: ModelParams) -> ScaleBasis:
 def build_scale_basis_bs(m: ModelParams) -> ScaleBasis:
     """Two-exponential basis for the jump-free model (``lam = 0``).
 
-    The exponents solve mu*theta + s2*theta^2/2 = r; the positive one is 1
-    under the martingale drift.
+    The exponents solve mu*theta + s2*theta^2/2 = r.  Under the martingale
+    drift one of them is exactly 1, and their product is -2r/s2, so the
+    other is that product: one rounding, no quadratic to solve.
     """
     if m.lam > 0.0:
         raise BranchError("two-root basis requires zero jump intensity")
 
     s2 = m.sigma2
-    disc = m.mu * m.mu + 2.0 * s2 * m.r
-    eta2 = (-m.mu - math.sqrt(disc)) / s2
-    # One or two Newton steps on the quadratic tighten the root to an ulp.
-    for _ in range(3):
-        val = m.mu * eta2 + s2 * eta2 * eta2 / 2.0 - m.r
-        slope = m.mu + s2 * eta2
-        if slope == 0.0 or abs(val) <= 1e-16:
-            break
-        eta2 -= val / slope
-
+    eta2 = -2.0 * m.r / s2
     c1 = 1.0 / ((s2 / 2.0) * (1.0 - eta2))
     return ScaleBasis(eta=(1.0, eta2), c=(c1, -c1))
 

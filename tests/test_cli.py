@@ -85,6 +85,32 @@ def test_negative_sigma_exit_2(tmp_path, capsys):
     assert code == 2 and doc["error"]["type"] == "InvalidParams"
 
 
+def test_sigma_and_sigma2_flags_together_exit_2(capsys):
+    # Both flags name one setting: refused, so that neither is ignored.
+    code, doc = run_json(["price", *BASE, "--sigma", "5"], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert "sigma and sigma2" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, line", [("--sigma", "0.8", "sigma2 = 0.2"), ("--sigma2", "0.64", "sigma = 0.3")]
+)
+def test_sigma_flag_overrides_the_files_variance(flag, value, line, tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"r = 0.05\n{line}\nstrike = 100\nbarrier = 120\nspot = 110\n")
+    code, doc = run_json(["price", "--config", str(cfg), flag, value], capsys)
+    assert code == 0
+    assert doc["params_echo"]["sigma2"] == pytest.approx(0.64, rel=1e-12)
+
+
+def test_sigma_and_sigma2_in_one_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(BASE_FILE + "sigma = 0.8\n")
+    code, doc = run_json(["price", "--config", str(cfg)], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert "sigma and sigma2" in doc["error"]["message"]
+
+
 def test_invalid_params_exit_2(capsys):
     code, doc = run_json(["price", "--r", "-1", "--sigma2", "0.2",
                           "--strike", "100", "--barrier", "120", "--spot", "110"], capsys)
@@ -292,6 +318,16 @@ def test_threshold_grid_mc(mode, tmp_path, capsys):
     assert run_cli([*argv, "--config", str(cfg)], capsys) == (0, out)
 
 
+def test_threshold_grid_mc_reads_mode_from_the_config_file(tmp_path, capsys):
+    grid = ["--grid-min", "50", "--grid-max", "60", "--grid-step", "5"]
+    argv = ["threshold", *JUMPS, *grid, "--mc", "--paths", "200", "--seed", "3"]
+    expected = run_cli([*argv, "--mode", "direct"], capsys)
+    assert expected[0] == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = direct\n")
+    assert run_cli([*argv, "--config", str(cfg)], capsys) == expected
+
+
 def test_threshold_grid_mc_requires_seed(capsys):
     code, doc = run_json(
         ["threshold", *JUMPS, "--grid-min", "40", "--grid-max", "80",
@@ -345,6 +381,13 @@ def test_curve_non_finite_bound_exit_2(smax, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_curve_single_point_exit_2(tmp_path, capsys):
+    code, doc = run_json(["curve", *BASE, "--smin", "30", "--smax", "60", "--points", "1",
+                          "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_curve_unwritable_path_exit_3(capsys):
     code, _ = run_cli(["curve", *BASE, "--smin", "30", "--smax", "60",
                        "--points", "5", "--out", "/nonexistent-dir/x.csv"], capsys)
@@ -375,6 +418,12 @@ def test_simulate_default_horizon_covers_low_rates(tmp_path, capsys):
                        "--paths", "200", "--out", str(out)], capsys)
     assert code == 0
     assert len(out.read_text().splitlines()) == 201
+
+
+def test_simulate_unwritable_path_exit_3(capsys):
+    code, out = run_cli(["simulate", *JUMPS, "--paths", "100", "--seed", "3",
+                         "--out", "/nonexistent-dir/x.csv"], capsys)
+    assert code == 3 and out == ""
 
 
 def test_simulate_requires_seed(tmp_path, capsys):

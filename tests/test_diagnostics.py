@@ -9,6 +9,7 @@ import pytest
 
 from cancelput import diagnostics, scale
 from cancelput.mc import McConfig
+from cancelput.model import make_model
 from cancelput.scale import ScaleBasis, basis_for, w_r
 
 W_CHECK = "W nonnegative and nondecreasing"
@@ -74,3 +75,17 @@ def test_mode_agreement_catches_a_survival_weight_off_by_two_percent(model, requ
     assert agree(m).passed
     off = agree(replace(m, alpha=1.02 * m.alpha))
     assert not off.passed and off.observed > off.bound
+
+
+def test_undershoot_law_reports_too_few_jump_crossings(contract):
+    # Under 30 jump landings the undershoot mean is not tested; the check
+    # says so and passes rather than judge a handful of draws.  At lambda =
+    # 0.05 about one path in ten stops by a jump.
+    m = make_model(r=0.05, sigma2=0.2, lam=0.05, rho=2.0)
+    cfg = McConfig(n_paths=100, horizon=200.0, seed=1)
+    (res,) = [
+        res for res in diagnostics.mc_suite(m, contract, cfg)
+        if res.name == "undershoot law (mean vs 1/rho)"
+    ]
+    assert res.passed and res.note == "too few jump crossings to test"
+    assert res.observed < 30.0 == res.bound

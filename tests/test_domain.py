@@ -1,0 +1,126 @@
+"""Root accuracy across the documented parameter domain, against mpmath.
+
+The box is r in [1e-4, 0.5], sigma2 in [1e-8, 2], lambda = 0 (one draw in
+five) or lambda in [1e-7, 50], rho in [1e-5, 50], K = 100, h/K in
+[1.0001, 3] and s0/a* in [1, 1e80], every range drawn log-uniformly.  The
+oracle below solves the same quadratics in 60-digit arithmetic from the
+float inputs and the exact martingale drift; it shares no code with the
+package.
+"""
+from __future__ import annotations
+
+import math
+import random
+
+import mpmath
+import pytest
+
+from cancelput.errors import CancelPutError
+from cancelput.model import make_model
+from cancelput.pricer import Contract, optimal_threshold, price
+from cancelput.scale import basis_for
+
+DRAWS = 2_000
+ROOT_REL = 1e-12
+ETA2_ULPS = 4.0
+
+
+def _oracle(r, sigma2, lam, rho):
+    """(alpha, negative scale exponents) in 60-digit arithmetic.
+
+    -alpha is the positive root of psi(t)(t + rho)/t, and the negative
+    exponents are the roots of (psi(t) - r)(t + rho)/(t - 1); without jumps
+    psi is itself the quadratic and the second exponent is -2r/sigma2.
+    """
+    with mpmath.workdps(60):
+        r, s2, lam, rho = (mpmath.mpf(v) for v in (r, sigma2, lam, rho))
+        if lam == 0:
+            return 2 * (r - s2 / 2) / s2, (-2 * r / s2,)
+        mu = r - s2 / 2 + lam / (1 + rho)
+
+        def roots(b, c):
+            d = mpmath.sqrt(b * b - 2 * s2 * c)
+            return (-b - d) / s2, (-b + d) / s2
+
+        alpha = -roots(mu + s2 * rho / 2, mu * rho - lam)[1]
+        return alpha, roots(mu + s2 * (rho + 1) / 2, r * rho)
+
+
+def _rel(x, ref):
+    return float(abs((mpmath.mpf(x) - ref) / ref))
+
+
+def _draws():
+    rng = random.Random(11)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for _ in range(DRAWS):
+        r, sigma2 = log_uniform(1e-4, 0.5), log_uniform(1e-8, 2.0)
+        lam = 0.0 if rng.random() < 0.2 else log_uniform(1e-7, 50.0)
+        rho = log_uniform(1e-5, 50.0)
+        yield (r, sigma2, lam, rho), log_uniform(1.0001, 3.0), log_uniform(1.0, 1e80)
+
+
+def _root_errors(params):
+    """Relative errors of alpha and the jump exponents, and the distance of
+    the jump-free second exponent from the oracle's in ulps."""
+    m = make_model(*params)
+    eta = basis_for(m).eta
+    alpha, negative = _oracle(*params)
+    assert eta[0] == 1.0
+    errors = {"alpha": _rel(m.alpha, alpha)}
+    if m.lam == 0.0:
+        errors["eta2_ulps"] = float(abs(eta[1] - negative[0]) / math.ulp(eta[1]))
+    else:
+        errors["eta"] = max(_rel(e, ref) for e, ref in zip(eta[1:], negative))
+    return errors
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # The worst alpha of a 20,000-draw fuzz of the box: psi'(-alpha) is
+        # small there, so a small residual does not mean a close root.
+        (0.005168806885224186, 1.2163390560821214e-08, 1.064351673145807e-07,
+         1.976653778858245e-05),
+        # Tiny sigma2, lambda and rho together.
+        (3e-4, 7.7e-8, 5.8e-7, 2e-5),
+        # Small r against a large sigma2: the quadratic formula's negative
+        # root cancels there, while -2r/sigma2 is one rounding.
+        (0.0003048064954939779, 1.4671205129024605, 0.0, 1.0),
+        (0.05, 0.2, 5.0, 2.0),
+        (0.05, 0.2, 0.0, 1.0),
+    ],
+    ids=["fuzz-worst", "tiny-jumps", "diffusion-small-r", "paper-jumps", "paper-diffusion"],
+)
+def test_roots_match_the_oracle_on_named_sets(params):
+    errors = _root_errors(params)
+    assert errors["alpha"] <= ROOT_REL
+    assert errors.get("eta", 0.0) <= ROOT_REL
+    assert errors.get("eta2_ulps", 0.0) <= ETA2_ULPS
+
+
+def test_roots_match_the_oracle_across_the_box():
+    worst = {"alpha": 0.0, "eta": 0.0, "eta2_ulps": 0.0}
+    outcomes = {"priced": 0, "refused": 0}
+    for params, barrier_ratio, spot_ratio in _draws():
+        try:
+            m = make_model(*params)
+            b = basis_for(m)
+            c = Contract(strike=100.0, barrier=100.0 * barrier_ratio, spot=100.0)
+            a_star = optimal_threshold(b, m, c)
+            rep = price(b, m, Contract(c.strike, c.barrier, a_star * spot_ratio))
+        except CancelPutError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["priced"] += 1
+        assert 0.0 <= rep.value <= 100.0, params
+        for key, err in _root_errors(params).items():
+            worst[key] = max(worst[key], err)
+    # Both outcomes occur: an upward drift is refused, not priced.
+    assert outcomes["priced"] > DRAWS // 2 and outcomes["refused"] > DRAWS // 4
+    assert worst["alpha"] <= ROOT_REL
+    assert worst["eta"] <= ROOT_REL
+    assert worst["eta2_ulps"] <= ETA2_ULPS

@@ -25,6 +25,7 @@ from cancelput.model import ModelParams, laplace_exponent, make_model
 from cancelput.pricer import (
     Contract,
     Region,
+    _clamped_unit,
     bs_reference,
     g_integral,
     g_payoff,
@@ -35,7 +36,7 @@ from cancelput.pricer import (
     price,
     value_at_threshold,
 )
-from cancelput.scale import basis_for, build_scale_basis_bs
+from cancelput.scale import ScaleBasis, basis_for, build_scale_basis_bs
 
 REL = 1e-12
 
@@ -239,6 +240,22 @@ def test_threshold_sign_guard(model_jumps, contract):
     flipped = dataclasses.replace(b, c=(b.c[0], -b.c[1], b.c[2]))
     with pytest.raises(InconsistentBasis):
         optimal_threshold(flipped, model_jumps, contract)
+
+
+def test_threshold_mixed_sum_guard(model_jumps, contract):
+    # Negative coefficients on positive exponents pass the sign guard but
+    # make the mixed discount sum negative: no first-order condition holds.
+    fabricated = ScaleBasis(eta=(1.0, 0.5, 0.2), c=(1.0, -1.0, -1.0))
+    with pytest.raises(InconsistentBasis, match="mixed discount sum"):
+        optimal_threshold(fabricated, model_jumps, contract)
+
+
+@pytest.mark.parametrize("raw, clamped", [(1.0 + 1e-9, 1.0), (-1e-9, 0.0)])
+def test_factor_outside_the_unit_interval_warns_and_clamps(raw, clamped):
+    with pytest.warns(NumericsWarning, match="left \\[0, 1\\]"):
+        assert _clamped_unit(raw, "creeping factor") == clamped
+    # Within the tolerance the clamp is silent (a NumericsWarning fails the suite).
+    assert _clamped_unit(clamped + (raw - clamped) / 100.0, "creeping factor") == clamped
 
 
 def test_threshold_sign_guard_survives_optimize_flag():
