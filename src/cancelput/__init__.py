@@ -19,14 +19,7 @@ from .errors import (
     ThresholdOutOfRange,
 )
 from .model import ModelParams, laplace_exponent, make_model
-from .scale import (
-    ScaleBasis,
-    basis_for,
-    build_scale_basis,
-    build_scale_basis_bs,
-    w_r,
-    z_r,
-)
+from .scale import ScaleBasis, basis_for, w_r, z_r
 from .pricer import (
     BsReference,
     Contract,
@@ -102,8 +95,6 @@ __all__ = [
     "analytic_suite",
     "basis_for",
     "bs_reference",
-    "build_scale_basis",
-    "build_scale_basis_bs",
     "estimate_discounted_terminal",
     "estimate_value",
     "g_integral",

@@ -50,7 +50,7 @@ _CONFIG_KEYS = {
     "mode": ("mode", _mode), "workers": ("workers", int),
 }
 
-#: Most points a threshold grid search may have.
+#: Most points a threshold grid search or a curve may have.
 _GRID_MAX_POINTS = 100_000
 
 
@@ -249,8 +249,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     model, contract = _build_model_contract(args)
     if not (0.0 < args.smin < args.smax < math.inf):
         raise ConfigError(f"need 0 < smin < smax < inf, got {args.smin}, {args.smax}")
-    if args.points < 2:
-        raise ConfigError(f"need at least 2 points, got {args.points}")
+    if not (2 <= args.points <= _GRID_MAX_POINTS):
+        raise ConfigError(f"need 2 to {_GRID_MAX_POINTS} points, got {args.points}")
     basis = basis_for(model)
     a_star = optimal_threshold(basis, model, contract)
     rows = ["s,payoff,value"]

@@ -107,7 +107,7 @@ def laplace_exponent(model: ModelParams, theta: float) -> float:
 def _psi_rational(model: ModelParams, theta: float) -> float:
     """Rational continuation of the Laplace exponent -- no pole check.
 
-    Used internally for root residuals on the far side of the pole.
+    Used internally on (0, 1), where the pole is never reached.
     """
     out = model.mu * theta + model.sigma2 * theta * theta / 2.0
     if model.lam > 0.0:

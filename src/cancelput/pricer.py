@@ -36,7 +36,7 @@ from .errors import (
     ThresholdOutOfRange,
 )
 from .model import ModelParams
-from .scale import ScaleBasis, basis_for, build_scale_basis_bs
+from .scale import ScaleBasis, basis_for
 
 if TYPE_CHECKING:
     from .mc import McConfig
@@ -388,13 +388,11 @@ def bs_reference(m: ModelParams, c: Contract) -> BsReference:
     """
     if m.lam > 0.0:
         raise BranchError("reference formulas require zero jump intensity")
-    basis = build_scale_basis_bs(m)
-    eta2 = basis.eta[1]
+    eta2 = -2.0 * m.r / m.sigma2
     alpha = m.alpha
     k, h, s0 = c.strike, c.barrier, c.spot
     a_star = k * (eta2 + alpha) / (eta2 + alpha - 1.0)
     value = (k - a_star) * (s0 / a_star) ** eta2 * (h / a_star) ** alpha
-    neg_power = -2.0 * m.r / m.sigma2
-    coef = -(1.0 / neg_power) * (k / (1.0 - 1.0 / neg_power)) ** (1.0 - neg_power)
-    plain = coef * s0**neg_power
+    coef = -(1.0 / eta2) * (k / (1.0 - 1.0 / eta2)) ** (1.0 - eta2)
+    plain = coef * s0**eta2
     return BsReference(a_star_bs=a_star, value_bs=value, plain_put=plain)

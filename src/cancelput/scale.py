@@ -9,22 +9,19 @@ For this model both admit finite exponential sums: the cubic
 has three simple real roots, one of which is exactly 1 under the martingale
 drift, and partial fractions of 1/(psi - r) over those roots give the sum
 coefficients.  Without jumps the cubic collapses to a quadratic and the sum
-has two terms.
+has two terms.  Every root and coefficient is algebraic: no iteration.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import BranchError, DegenerateRoots
+from .errors import DegenerateRoots
 from .model import ModelParams
 
 #: Two roots closer than this are treated as coincident.
 _ROOT_SEP_TOL = 1e-10
-#: Newton polishing stops once the cubic is within this many ulps of its terms.
-_POLISH_ULPS = 8.0 * sys.float_info.epsilon
 _MAX_EXP_ARG = 700.0  # exp() overflows just above 709; saturate before that
 
 
@@ -41,37 +38,16 @@ class ScaleBasis:
     c: tuple[float, ...]
 
 
-def _cubic(m: ModelParams, theta: float) -> tuple[float, float, float]:
-    """(psi(theta) - r)(theta + rho), expanded so the pole is cleared.
-
-    Returns the value, the sum of its terms' magnitudes (the value's
-    roundoff floor), and the derivative.
-    """
-    k3 = m.sigma2 / 2.0
-    k2 = m.mu + m.sigma2 * m.rho / 2.0
-    k1 = m.mu * m.rho - m.lam - m.r
-    terms = (k3 * theta**3, k2 * theta**2, k1 * theta, -m.r * m.rho)
-    return sum(terms), sum(map(abs, terms)), 3.0 * k3 * theta**2 + 2.0 * k2 * theta + k1
-
-
-def _polish_root(m: ModelParams, theta: float) -> float:
-    for _ in range(20):
-        val, size, slope = _cubic(m, theta)
-        if abs(val) <= _POLISH_ULPS * size or slope == 0.0:
-            break
-        theta -= val / slope
-    return theta
-
-
 def _partial_fraction_weights(
-    etas: tuple[float, float, float], sigma2: float, rho: float
+    etas: tuple[float, float, float], offsets: tuple[float, float, float], sigma2: float
 ) -> tuple[float, float, float]:
-    """Coefficients C_i = 2(eta_i + rho) / (sigma2 * prod_{j!=i}(eta_i - eta_j)).
+    """Coefficients C_i = 2 offsets_i / (sigma2 * prod_{j!=i}(eta_i - eta_j)).
 
-    Pure helper so degenerate inputs can be exercised directly in tests;
-    the quadratic-factor discriminant is strictly positive for every
-    parameter set that passes model validation, which makes the coincident
-    case unreachable through the public constructor.
+    ``offsets`` holds eta_i + rho, passed in because near the pole it cannot
+    be formed from eta_i.  Pure helper so degenerate inputs can be exercised
+    directly in tests; the quadratic-factor discriminant is strictly
+    positive for every parameter set that passes model validation, which
+    makes the coincident case unreachable through the public constructor.
     """
     out = []
     for i, ei in enumerate(etas):
@@ -85,70 +61,54 @@ def _partial_fraction_weights(
                     f"roots {ei} and {ej} coincide within {_ROOT_SEP_TOL}"
                 )
             denom *= gap
-        out.append((ei + rho) / denom)
+        out.append(offsets[i] / denom)
     return tuple(out)
 
 
-def build_scale_basis(m: ModelParams) -> ScaleBasis:
-    """Three-exponential basis for a model with jumps (``lam > 0``).
-
-    The negative exponents come from the quadratic factor of the cleared
-    cubic; they are computed in the numerically stable product form and
-    Newton-polished on the cubic itself.  One lies in (-rho, 0), the other
-    below -rho; any other layout means the partial-fraction representation
-    is invalid for these parameters.
-    """
-    if m.lam <= 0.0:
-        raise BranchError("three-root basis requires a positive jump intensity")
-
-    s2 = m.sigma2
-    # Quadratic factor: (s2/2) theta^2 + b theta + r*rho, after dividing
-    # out the exact root at theta = 1.
-    b = m.mu + s2 * (m.rho + 1.0) / 2.0
-    disc = b * b - 2.0 * s2 * m.r * m.rho
-    if disc <= 0.0:
-        raise DegenerateRoots(
-            f"quadratic-factor discriminant {disc} is not positive"
-        )
-    # Both roots are negative: avoid cancellation by computing the large
-    # one directly and the small one from the root product 2*r*rho/s2.
-    root_lo = (-b - math.sqrt(disc)) / s2
-    root_hi = (2.0 * m.r * m.rho / s2) / root_lo
-    root_lo = _polish_root(m, root_lo)
-    root_hi = _polish_root(m, root_hi)
-
-    in_band = sum(1 for e in (root_lo, root_hi) if -m.rho < e < 0.0)
-    below = sum(1 for e in (root_lo, root_hi) if e < -m.rho)
-    if in_band != 1 or below != 1:
-        raise DegenerateRoots(
-            "negative roots do not straddle the jump pole: "
-            f"got {root_lo}, {root_hi} around {-m.rho}"
-        )
-
-    etas = (1.0, root_lo, root_hi)
-    coeffs = _partial_fraction_weights(etas, s2, m.rho)
-    return ScaleBasis(eta=etas, c=coeffs)
-
-
-def build_scale_basis_bs(m: ModelParams) -> ScaleBasis:
-    """Two-exponential basis for the jump-free model (``lam = 0``).
-
-    The exponents solve mu*theta + s2*theta^2/2 = r.  Under the martingale
-    drift one of them is exactly 1, and their product is -2r/s2, so the
-    other is that product: one rounding, no quadratic to solve.
-    """
-    if m.lam > 0.0:
-        raise BranchError("two-root basis requires zero jump intensity")
-
-    s2 = m.sigma2
-    eta2 = -2.0 * m.r / s2
-    c1 = 1.0 / ((s2 / 2.0) * (1.0 - eta2))
-    return ScaleBasis(eta=(1.0, eta2), c=(c1, -c1))
-
-
 def basis_for(m: ModelParams) -> ScaleBasis:
-    """Dispatch to the branch matching the jump intensity."""
-    return build_scale_basis(m) if m.lam > 0.0 else build_scale_basis_bs(m)
+    """Exponents and coefficients of W and Z for ``m``, by algebra.
+
+    Without jumps the exponents solve mu*theta + s2*theta^2/2 = r: one is
+    exactly 1 under the martingale drift, and their product is -2r/s2, so
+    the other is that product.  With jumps the negative exponents are the
+    roots of the cleared cubic's quadratic factor
+
+        Q(theta) = (s2/2) theta^2 + b theta + r*rho,   b = r + j + s2*rho/2,
+
+    with j = lam/(1 + rho), built from the inputs and not from mu (which
+    cancels against s2/2).  Its discriminant is D^2 = a^2 + 2*s2*rho*j with
+    a = r + j - s2*rho/2, a sum of squares.  The lower root is (-b - D)/s2
+    and the upper one comes from the root product 2*r*rho/s2.  The offsets
+    from the jump pole, eta + rho = (-a - D)/s2 and (-a + D)/s2, multiply to
+    Q(-rho)*2/s2 = -2*rho*j/s2 < 0: one root lies each side of -rho.  The
+    offset that adds like signs is formed directly, the one next to the pole
+    from that product.  The offsets are the partial-fraction numerators, and
+    their signs are the layout check, which holds even where the near root
+    rounds onto -rho.
+    """
+    s2, r = m.sigma2, m.r
+    if m.lam == 0.0:
+        eta2 = -2.0 * r / s2
+        c1 = 1.0 / ((s2 / 2.0) * (1.0 - eta2))
+        return ScaleBasis(eta=(1.0, eta2), c=(c1, -c1))
+
+    j = m.lam / (1.0 + m.rho)
+    half = s2 * m.rho / 2.0
+    a = r + j - half
+    disc = math.hypot(a, math.sqrt(2.0 * s2 * m.rho * j))
+    b_plus_d = r + j + half + disc
+    eta_lo, eta_hi = -b_plus_d / s2, -2.0 * r * m.rho / b_plus_d
+    q = a + math.copysign(disc, a)
+    off_lo, off_hi = sorted((-q / s2, 2.0 * m.rho * j / q))
+    if not (-math.inf < off_lo < 0.0 < off_hi and eta_hi < 0.0):
+        raise DegenerateRoots(
+            f"negative roots {eta_lo}, {eta_hi} are not finite and one each side "
+            f"of the jump pole at {-m.rho}"
+        )
+
+    etas = (1.0, eta_lo, eta_hi)
+    coeffs = _partial_fraction_weights(etas, (1.0 + m.rho, off_lo, off_hi), s2)
+    return ScaleBasis(eta=etas, c=coeffs)
 
 
 def w_r(b: ScaleBasis, x: float) -> float:

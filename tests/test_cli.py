@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from cancelput import cli, errors
 from cancelput.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -109,6 +110,16 @@ def test_sigma_and_sigma2_in_one_file_exit_2(tmp_path, capsys):
     code, doc = run_json(["price", "--config", str(cfg)], capsys)
     assert code == 2 and doc["error"]["type"] == "ConfigError"
     assert "sigma and sigma2" in doc["error"]["message"]
+
+
+def test_huge_jump_root_is_a_typed_error_exit_2(capsys):
+    # sigma2 = 1e-300 puts the root below the jump pole near -2e300; the
+    # basis once cubed it and the call ended in an OverflowError traceback.
+    args = ["price", "--r", "0.05", "--sigma2", "1e-300", "--lambda", "1", "--rho", "1e-3",
+            "--strike", "100", "--barrier", "120", "--spot", "110"]
+    code, doc = run_json(args, capsys)
+    assert code == 2
+    assert issubclass(getattr(errors, doc["error"]["type"]), errors.CancelPutError)
 
 
 def test_invalid_params_exit_2(capsys):
@@ -385,6 +396,21 @@ def test_curve_single_point_exit_2(tmp_path, capsys):
     code, doc = run_json(["curve", *BASE, "--smin", "30", "--smax", "60", "--points", "1",
                           "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_curve_too_many_points_exit_2(tmp_path, monkeypatch, capsys):
+    # The row list grows with --points; past the grid limit it is refused
+    # before any point is evaluated.
+    def evaluated(*_args):
+        raise AssertionError("curve evaluated a point")
+
+    monkeypatch.setattr(cli, "optimal_threshold", evaluated)
+    monkeypatch.setattr(cli, "value_at_threshold", evaluated)
+    code, doc = run_json(["curve", *BASE, "--smin", "30", "--smax", "60", "--points", "100001",
+                          "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert "100000 points" in doc["error"]["message"]
     assert not (tmp_path / "x.csv").exists()
 
 

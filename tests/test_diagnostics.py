@@ -30,6 +30,16 @@ def test_w_check_fails_on_a_basis_whose_w_dips(model_nojump, contract, monkeypat
     assert check.observed == pytest.approx(2.0 * c1 / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [5.0, 1e-17])
+def test_root_residuals_are_relative_and_cleared_of_the_pole(lam, contract):
+    # At lambda = 1e-17 the root below the pole rounds onto -rho, where
+    # psi(theta) - r itself would divide by zero.
+    m = make_model(r=0.05, sigma2=0.2, lam=lam, rho=2.0)
+    results = {res.name: res for res in diagnostics.analytic_suite(m, contract)}
+    check = results["root residuals"]
+    assert check.passed and check.observed <= 1e-15 and check.bound == 1e-14
+
+
 @pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
 def test_w_grid_matches_the_scalar_w(model, request):
     b = basis_for(request.getfixturevalue(model))

@@ -22,28 +22,41 @@ from cancelput.scale import basis_for
 
 DRAWS = 2_000
 ROOT_REL = 1e-12
+ETA_REL = 1e-14
+COEF_REL = 1e-13
 ETA2_ULPS = 4.0
 
 
 def _oracle(r, sigma2, lam, rho):
-    """(alpha, negative scale exponents) in 60-digit arithmetic.
+    """(alpha, negative scale exponents, coefficients) in 60-digit arithmetic.
 
     -alpha is the positive root of psi(t)(t + rho)/t, and the negative
     exponents are the roots of (psi(t) - r)(t + rho)/(t - 1); without jumps
-    psi is itself the quadratic and the second exponent is -2r/sigma2.
+    psi is itself the quadratic and the second exponent is -2r/sigma2.  The
+    coefficients are the partial fractions of 1/(psi - r) over the roots.
     """
     with mpmath.workdps(60):
         r, s2, lam, rho = (mpmath.mpf(v) for v in (r, sigma2, lam, rho))
         if lam == 0:
-            return 2 * (r - s2 / 2) / s2, (-2 * r / s2,)
-        mu = r - s2 / 2 + lam / (1 + rho)
+            alpha, negative = 2 * (r - s2 / 2) / s2, (-2 * r / s2,)
+        else:
+            mu = r - s2 / 2 + lam / (1 + rho)
 
-        def roots(b, c):
-            d = mpmath.sqrt(b * b - 2 * s2 * c)
-            return (-b - d) / s2, (-b + d) / s2
+            def roots(b, c):
+                d = mpmath.sqrt(b * b - 2 * s2 * c)
+                return (-b - d) / s2, (-b + d) / s2
 
-        alpha = -roots(mu + s2 * rho / 2, mu * rho - lam)[1]
-        return alpha, roots(mu + s2 * (rho + 1) / 2, r * rho)
+            alpha = -roots(mu + s2 * rho / 2, mu * rho - lam)[1]
+            negative = roots(mu + s2 * (rho + 1) / 2, r * rho)
+        etas = (mpmath.mpf(1),) + negative
+        coeffs = []
+        for i, ei in enumerate(etas):
+            denom = s2 / 2
+            for j, ej in enumerate(etas):
+                if j != i:
+                    denom *= ei - ej
+            coeffs.append((ei + rho if lam else 1) / denom)
+        return alpha, negative, coeffs
 
 
 def _rel(x, ref):
@@ -64,18 +77,31 @@ def _draws():
 
 
 def _root_errors(params):
-    """Relative errors of alpha and the jump exponents, and the distance of
-    the jump-free second exponent from the oracle's in ulps."""
+    """Relative errors of alpha, the jump exponents and the coefficients,
+    and the distance of the jump-free second exponent from the oracle's in
+    ulps."""
     m = make_model(*params)
-    eta = basis_for(m).eta
-    alpha, negative = _oracle(*params)
-    assert eta[0] == 1.0
-    errors = {"alpha": _rel(m.alpha, alpha)}
+    b = basis_for(m)
+    alpha, negative, coeffs = _oracle(*params)
+    assert b.eta[0] == 1.0
+    errors = {
+        "alpha": _rel(m.alpha, alpha),
+        "c": max(_rel(c, ref) for c, ref in zip(b.c, coeffs)),
+    }
     if m.lam == 0.0:
-        errors["eta2_ulps"] = float(abs(eta[1] - negative[0]) / math.ulp(eta[1]))
+        errors["eta2_ulps"] = float(abs(b.eta[1] - negative[0]) / math.ulp(b.eta[1]))
     else:
-        errors["eta"] = max(_rel(e, ref) for e, ref in zip(eta[1:], negative))
+        errors["eta"] = max(_rel(e, ref) for e, ref in zip(b.eta[1:], negative))
     return errors
+
+
+def _within_bounds(errors):
+    return (
+        errors["alpha"] <= ROOT_REL
+        and errors["c"] <= COEF_REL
+        and errors.get("eta", 0.0) <= ETA_REL
+        and errors.get("eta2_ulps", 0.0) <= ETA2_ULPS
+    )
 
 
 @pytest.mark.parametrize(
@@ -92,18 +118,25 @@ def _root_errors(params):
         (0.0003048064954939779, 1.4671205129024605, 0.0, 1.0),
         (0.05, 0.2, 5.0, 2.0),
         (0.05, 0.2, 0.0, 1.0),
+        # The worst coefficients of that fuzz: the root below the pole sits
+        # 1.3e-8 from it, so eta + rho cancels unless it comes from the
+        # offsets' product.
+        (0.0009356707682438538, 1.7493925672380424, 4.8325607751918e-07,
+         40.931943675273466),
+        # A low root far below the pole, -50.47027953849838, where the
+        # cleared cubic's terms reach 1e4.
+        (0.05, 0.1, 6.0, 1.5),
     ],
-    ids=["fuzz-worst", "tiny-jumps", "diffusion-small-r", "paper-jumps", "paper-diffusion"],
+    ids=["fuzz-worst", "tiny-jumps", "diffusion-small-r", "paper-jumps", "paper-diffusion",
+         "coefficient-worst", "far-low-root"],
 )
 def test_roots_match_the_oracle_on_named_sets(params):
     errors = _root_errors(params)
-    assert errors["alpha"] <= ROOT_REL
-    assert errors.get("eta", 0.0) <= ROOT_REL
-    assert errors.get("eta2_ulps", 0.0) <= ETA2_ULPS
+    assert _within_bounds(errors), errors
 
 
 def test_roots_match_the_oracle_across_the_box():
-    worst = {"alpha": 0.0, "eta": 0.0, "eta2_ulps": 0.0}
+    worst = {"alpha": 0.0, "c": 0.0, "eta": 0.0, "eta2_ulps": 0.0}
     outcomes = {"priced": 0, "refused": 0}
     for params, barrier_ratio, spot_ratio in _draws():
         try:
@@ -121,6 +154,4 @@ def test_roots_match_the_oracle_across_the_box():
             worst[key] = max(worst[key], err)
     # Both outcomes occur: an upward drift is refused, not priced.
     assert outcomes["priced"] > DRAWS // 2 and outcomes["refused"] > DRAWS // 4
-    assert worst["alpha"] <= ROOT_REL
-    assert worst["eta"] <= ROOT_REL
-    assert worst["eta2_ulps"] <= ETA2_ULPS
+    assert _within_bounds(worst), worst

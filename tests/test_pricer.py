@@ -36,7 +36,7 @@ from cancelput.pricer import (
     price,
     value_at_threshold,
 )
-from cancelput.scale import ScaleBasis, basis_for, build_scale_basis_bs
+from cancelput.scale import ScaleBasis, basis_for
 
 REL = 1e-12
 
@@ -228,7 +228,7 @@ def test_threshold_out_of_range_guard(contract):
     # A fabricated record with a positive cancellation exponent drives the
     # closed form negative; the guard must refuse rather than return it.
     m = ModelParams(r=0.05, sigma2=0.2, lam=0.0, rho=1.0, mu=-0.05, alpha=0.6)
-    b = build_scale_basis_bs(m)
+    b = basis_for(m)
     with pytest.raises(ThresholdOutOfRange):
         optimal_threshold(b, m, contract)
 

@@ -7,17 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cancelput import scale
-from cancelput.errors import BranchError, DegenerateRoots
+import cancelput
+from cancelput.errors import DegenerateRoots
 from cancelput.model import laplace_exponent, make_model
-from cancelput.scale import (
-    _partial_fraction_weights,
-    basis_for,
-    build_scale_basis,
-    build_scale_basis_bs,
-    w_r,
-    z_r,
-)
+from cancelput.pricer import Contract, price
+from cancelput.scale import _partial_fraction_weights, basis_for, w_r, z_r
 
 REL = 1e-12
 
@@ -28,7 +22,7 @@ C_J = (1.417322834645669, -0.4463599126536248, -0.9709629219920444)
 
 
 def test_three_root_basis_frozen_values(model_jumps):
-    b = build_scale_basis(model_jumps)
+    b = basis_for(model_jumps)
     assert b.eta[0] == 1.0  # the martingale root, exact
     assert len(b.eta) == len(b.c) == 3
     for got, want in zip(b.eta, ETA_J):
@@ -39,7 +33,7 @@ def test_three_root_basis_frozen_values(model_jumps):
 
 def test_roots_kill_the_rational_cubic(model_jumps):
     # Each eta_i solves psi(theta) = r on its analytic continuation.
-    b = build_scale_basis(model_jumps)
+    b = basis_for(model_jumps)
     m = model_jumps
     for eta in b.eta:
         # (psi(theta) - r)(theta + rho) expands to a cubic; evaluate the
@@ -54,7 +48,7 @@ def test_roots_kill_the_rational_cubic(model_jumps):
 
 
 def test_root_layout(model_jumps):
-    b = build_scale_basis(model_jumps)
+    b = basis_for(model_jumps)
     neg = sorted(b.eta[1:])
     assert neg[0] < -model_jumps.rho
     assert -model_jumps.rho < neg[1] < 0.0
@@ -65,7 +59,7 @@ def test_weight_identities(lam, rho):
     # The partial-fraction weights satisfy three exact sum rules:
     # sum c = 0, sum c*eta = 2/sigma2, sum c/eta = 1/r.
     m = make_model(r=0.05, sigma2=0.2, lam=lam, rho=rho)
-    b = build_scale_basis(m)
+    b = basis_for(m)
     cs = np.array(b.c)
     etas = np.array(b.eta)
     assert abs(cs.sum()) <= 1e-12 * np.abs(cs).max()
@@ -73,30 +67,16 @@ def test_weight_identities(lam, rho):
     assert float((cs / etas).sum()) == pytest.approx(1.0 / m.r, rel=1e-10)
 
 
-def test_root_polish_stops_at_roundoff(monkeypatch):
-    # Newton polishing stops once the cubic is down to the roundoff of its
-    # own terms.  The low root here is about -50.5, where those terms reach
-    # 1e4 in size; a fixed absolute tolerance was never met and ran all 20
-    # steps (21 cubic evaluations for the basis).
-    calls = []
-    real = scale._cubic
-    monkeypatch.setattr(scale, "_cubic", lambda m, t: calls.append(t) or real(m, t))
-    b = build_scale_basis(make_model(r=0.05, sigma2=0.1, lam=6.0, rho=1.5))
-    assert len(calls) <= 4
-    assert b.eta[1] == pytest.approx(-50.47027953849838, rel=1e-12)
-
-
 def test_branch_dispatch(model_nojump, model_jumps):
-    with pytest.raises(BranchError):
-        build_scale_basis(model_nojump)
-    with pytest.raises(BranchError):
-        build_scale_basis_bs(model_jumps)
-    assert len(basis_for(model_nojump).eta) == 2
-    assert len(basis_for(model_jumps).eta) == 3
+    # One entry point: the jump intensity alone picks two or three roots.
+    assert len(basis_for(model_nojump).eta) == len(basis_for(model_nojump).c) == 2
+    assert len(basis_for(model_jumps).eta) == len(basis_for(model_jumps).c) == 3
+    for gone in ("build_scale_basis", "build_scale_basis_bs"):
+        assert not hasattr(cancelput, gone)
 
 
 def test_two_root_basis_values(model_nojump):
-    b = build_scale_basis_bs(model_nojump)
+    b = basis_for(model_nojump)
     assert b.eta[1] == pytest.approx(-0.5, abs=1e-15)
     assert b.c[0] == pytest.approx(1.0 / (0.1 * 1.5), rel=REL)
     assert len(b.eta) == len(b.c) == 2
@@ -106,7 +86,7 @@ def test_two_root_basis_values(model_nojump):
 def test_two_root_w_matches_brownian_closed_form(model_nojump):
     # For the pure diffusion the scale function has the textbook form
     # (e^{x} - e^{eta2 x}) * 2 / (sigma2 * (1 - eta2)).
-    b = build_scale_basis_bs(model_nojump)
+    b = basis_for(model_nojump)
     eta2 = b.eta[1]
     pref = 2.0 / (model_nojump.sigma2 * (1.0 - eta2))
     for x in np.linspace(0.0, 6.0, 37):
@@ -115,7 +95,7 @@ def test_two_root_w_matches_brownian_closed_form(model_nojump):
 
 
 def test_w_and_z_boundary_values(model_jumps):
-    b = build_scale_basis(model_jumps)
+    b = basis_for(model_jumps)
     assert abs(w_r(b, 0.0)) <= 1e-12
     assert z_r(b, model_jumps, 0.0) == 1.0
     # Below the origin both solutions take their killed values.
@@ -124,7 +104,7 @@ def test_w_and_z_boundary_values(model_jumps):
 
 
 def test_z_prime_is_r_times_w(model_jumps):
-    b = build_scale_basis(model_jumps)
+    b = basis_for(model_jumps)
     m = model_jumps
     for x in (0.05, 0.4, 1.0, 2.5):
         h = 1e-6
@@ -133,7 +113,7 @@ def test_z_prime_is_r_times_w(model_jumps):
 
 
 def test_w_nonnegative_nondecreasing(model_jumps):
-    b = build_scale_basis(model_jumps)
+    b = basis_for(model_jumps)
     xs = np.linspace(0.0, 5.0, 2001)
     ws = np.array([w_r(b, float(x)) for x in xs])
     assert ws.min() >= -1e-12
@@ -143,7 +123,7 @@ def test_w_nonnegative_nondecreasing(model_jumps):
 def test_laplace_transform_identity(model_jumps):
     # int_0^inf e^{-beta x} W(x) dx = 1 / (psi(beta) - r).  Truncate at 40;
     # the neglected tail is bounded by |c1| e^{(1-beta) 40} / (beta - 1).
-    b = build_scale_basis(model_jumps)
+    b = basis_for(model_jumps)
     beta = 2.0
     val, err = quad(lambda x: math.exp(-beta * x) * w_r(b, x), 0.0, 40.0, limit=200)
     want = 1.0 / (laplace_exponent(model_jumps, beta) - model_jumps.r)
@@ -152,21 +132,30 @@ def test_laplace_transform_identity(model_jumps):
     assert abs(val - want) <= tail + 1e-8 + 10.0 * err
 
 
-def test_small_lambda_limit_recovers_diffusion_basis():
-    m_eps = make_model(r=0.05, sigma2=0.2, lam=1e-8, rho=2.0)
-    m0 = make_model(r=0.05, sigma2=0.2, lam=0.0, rho=1.0)
-    b_eps = build_scale_basis(m_eps)
-    b0 = build_scale_basis_bs(m0)
+@pytest.mark.parametrize("lam", [1e-8, 1e-17, 1e-300])
+def test_small_lambda_limit_recovers_diffusion_basis(lam):
+    # As lambda -> 0 the root below the pole sinks onto -rho with a vanishing
+    # weight.  From about lambda = 1e-16 * r it rounds onto -rho exactly; its
+    # offset from the pole comes from the offsets' product, so it still prices.
+    m_eps = make_model(r=0.05, sigma2=0.2, lam=lam, rho=2.0)
+    m0 = make_model(r=0.05, sigma2=0.2, lam=0.0, rho=2.0)
+    b_eps = basis_for(m_eps)
+    b0 = basis_for(m0)
     for x in np.linspace(0.0, 3.0, 31):
         assert abs(w_r(b_eps, float(x)) - w_r(b0, float(x))) <= 1e-5
+    c = Contract(strike=100.0, barrier=120.0, spot=110.0)
+    got, want = price(b_eps, m_eps, c), price(b0, m0, c)
+    tol = max(1e-12, 1e2 * lam)
+    assert got.a_star == pytest.approx(want.a_star, rel=tol)
+    assert got.value == pytest.approx(want.value, rel=tol)
 
 
 def test_coincident_roots_rejected():
     with pytest.raises(DegenerateRoots):
-        _partial_fraction_weights((1.0, -2.0, -2.0 + 5e-11), 0.2, 2.0)
+        _partial_fraction_weights((1.0, -2.0, -2.0 + 5e-11), (3.0, 0.0, 5e-11), 0.2)
 
 
 def test_no_overflow_far_from_origin(model_jumps):
-    b = build_scale_basis(model_jumps)
+    b = basis_for(model_jumps)
     assert math.isfinite(w_r(b, 600.0))
     assert math.isfinite(w_r(b, 720.0))  # exponent argument saturates
