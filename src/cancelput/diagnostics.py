@@ -218,7 +218,7 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
 
         worst_rel = 0.0
         for s in np.geomspace(0.2 * a_star, 3.0 * c.barrier, 100).tolist():
-            plain = bs_reference(m, replace(c, spot=s)).plain_put
+            plain = bs_reference(m, c._replace(spot=s)).plain_put
             v = value_at_threshold(b, m, c, s, a_star)
             worst_rel = max(worst_rel, v - plain)
         out.append(

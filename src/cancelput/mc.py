@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -352,7 +352,7 @@ def _tilt(m: ModelParams) -> tuple[float, float, ModelParams]:
     low = bisect(_laplace_exponent_deriv, 0.0, 1.0)
     theta = low + 0.75 * (bisect(_psi_rational, low, 1.0) - low)
     mu, lam, rho = m.mu + m.sigma2 * theta, m.lam * m.rho / (m.rho + theta), m.rho + theta
-    return theta, _psi_rational(m, theta), replace(m, mu=mu, lam=lam, rho=rho)
+    return theta, _psi_rational(m, theta), m._replace(mu=mu, lam=lam, rho=rho)
 
 
 def simulate_paths(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> PolicyPaths:

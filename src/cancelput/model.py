@@ -12,25 +12,29 @@ distance below the barrier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .errors import DegenerateCancellation, InvalidParams, PoleError
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Immutable parameter bundle.  Build through :func:`make_model`.
 
     Direct construction skips validation on purpose: tests and diagnostics
     sometimes need deliberately extreme bundles (e.g. near-zero volatility).
     """
 
-    r: float
-    sigma2: float
-    lam: float
-    rho: float
-    mu: float
-    alpha: float
+    __slots__ = ("r", "sigma2", "lam", "rho", "mu", "alpha")
+
+    def __init__(
+        self, r: float, sigma2: float, lam: float, rho: float, mu: float, alpha: float
+    ) -> None:
+        _set(self, "r", r)
+        _set(self, "sigma2", sigma2)
+        _set(self, "lam", lam)
+        _set(self, "rho", rho)
+        _set(self, "mu", mu)
+        _set(self, "alpha", alpha)
 
 
 def make_model(r: float, sigma2: float, lam: float, rho: float) -> ModelParams:

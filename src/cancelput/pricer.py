@@ -22,9 +22,9 @@ import enum
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from ._record import Record, _set
 from .errors import (
     BranchError,
     ConfigError,
@@ -60,33 +60,44 @@ class Region(enum.Enum):
     EXERCISE = "Exercise"
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(Record):
     """Perpetual put terms: strike, cancellation barrier, current spot."""
 
-    strike: float
-    barrier: float
-    spot: float
+    __slots__ = ("strike", "barrier", "spot")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.strike < math.inf):
-            raise InvalidParams(f"strike must be positive and finite, got {self.strike}")
-        if not (0.0 < self.spot < math.inf):
-            raise InvalidParams(f"spot must be positive and finite, got {self.spot}")
-        if not (self.strike < self.barrier < math.inf):
+    def __init__(self, strike: float, barrier: float, spot: float) -> None:
+        if not (0.0 < strike < math.inf):
+            raise InvalidParams(f"strike must be positive and finite, got {strike}")
+        if not (0.0 < spot < math.inf):
+            raise InvalidParams(f"spot must be positive and finite, got {spot}")
+        if not (strike < barrier < math.inf):
             raise InvalidParams(
-                f"barrier must exceed the strike and be finite, got barrier={self.barrier}, "
-                f"strike={self.strike}"
+                f"barrier must exceed the strike and be finite, got barrier={barrier}, "
+                f"strike={strike}"
             )
+        _set(self, "strike", strike)
+        _set(self, "barrier", barrier)
+        _set(self, "spot", spot)
 
 
-@dataclass(frozen=True)
-class PriceReport:
-    a_star: float
-    value: float
-    creeping_factor: float
-    undershoot_factor: float
-    region: Region
+class PriceReport(Record):
+    """Quote at the contract spot: threshold, value, passage factors, region."""
+
+    __slots__ = ("a_star", "value", "creeping_factor", "undershoot_factor", "region")
+
+    def __init__(
+        self,
+        a_star: float,
+        value: float,
+        creeping_factor: float,
+        undershoot_factor: float,
+        region: Region,
+    ) -> None:
+        _set(self, "a_star", a_star)
+        _set(self, "value", value)
+        _set(self, "creeping_factor", creeping_factor)
+        _set(self, "undershoot_factor", undershoot_factor)
+        _set(self, "region", region)
 
 
 def g_payoff(m: ModelParams, c: Contract, s: float) -> float:
@@ -206,19 +217,18 @@ def optimal_threshold(b: ScaleBasis, m: ModelParams, c: Contract) -> float:
             raise InconsistentBasis(
                 f"negative-exponent coefficients must be negative, got {b.c[1:]}"
             )
-        sum_wpp = 0.0  # weights of W'' at 0+, i.e. sum c_i eta_i (eta_i - 1)
+        # (s2/2) sum c_i eta_i (eta_i - 1), the weights of W'' at 0+, scaled
+        # term by term: for tiny s2 the low root is of order -1/s2, and its
+        # square would overflow before the scaling.
+        wpp = 0.0
         sum_mix = 0.0  # mixed discount sum, positive in the valid regime
         for ei, ci in zip(b.eta[1:], b.c[1:]):
-            sum_wpp += ci * ei * (ei - 1.0)
+            wpp += (s2 / 2.0) * ci * ei * (ei - 1.0)
             sum_mix += ci * ei * (r * (1.0 / ei - 1.0) - (s2 / 2.0) * (ei - 1.0))
         if not (sum_mix > 0.0):
             raise InconsistentBasis(f"mixed discount sum must be positive, got {sum_mix}")
-        num = (s2 / 2.0) * sum_wpp + alpha + rho / (rho - alpha) * sum_mix
-        den = (
-            (s2 / 2.0) * sum_wpp
-            - (1.0 - alpha)
-            + rho / (rho - alpha + 1.0) * sum_mix
-        )
+        num = wpp + alpha + rho / (rho - alpha) * sum_mix
+        den = wpp - (1.0 - alpha) + rho / (rho - alpha + 1.0) * sum_mix
         a_star = k * num / den
     if not (0.0 < a_star < k):
         raise ThresholdOutOfRange(

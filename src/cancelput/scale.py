@@ -15,8 +15,8 @@ has two terms.  Every root and coefficient is algebraic: no iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .errors import DegenerateRoots
 from .model import ModelParams
 
@@ -25,8 +25,7 @@ _ROOT_SEP_TOL = 1e-10
 _MAX_EXP_ARG = 700.0  # exp() overflows just above 709; saturate before that
 
 
-@dataclass(frozen=True)
-class ScaleBasis:
+class ScaleBasis(Record):
     """Exponents and coefficients of the exponential-sum scale functions.
 
     ``eta`` holds the exponents, three with jumps and two without; the
@@ -34,8 +33,11 @@ class ScaleBasis:
     the matching coefficients.
     """
 
-    eta: tuple[float, ...]
-    c: tuple[float, ...]
+    __slots__ = ("eta", "c")
+
+    def __init__(self, eta: tuple[float, ...], c: tuple[float, ...]) -> None:
+        _set(self, "eta", eta)
+        _set(self, "c", c)
 
 
 def _partial_fraction_weights(

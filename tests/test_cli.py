@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cancelput import cli, errors
+from cancelput import cli
 from cancelput.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -112,14 +112,19 @@ def test_sigma_and_sigma2_in_one_file_exit_2(tmp_path, capsys):
     assert "sigma and sigma2" in doc["error"]["message"]
 
 
-def test_huge_jump_root_is_a_typed_error_exit_2(capsys):
-    # sigma2 = 1e-300 puts the root below the jump pole near -2e300; the
-    # basis once cubed it and the call ended in an OverflowError traceback.
+def test_huge_jump_root_prices(capsys):
+    # sigma2 = 1e-300 puts the root below the jump pole near -2e300.  The
+    # basis once cubed it (an OverflowError traceback), and the threshold
+    # then squared it before scaling by sigma2/2 (a NaN a*, refused with
+    # exit 2).  The figures agree with bench/reference.py's V at 700 digits.
     args = ["price", "--r", "0.05", "--sigma2", "1e-300", "--lambda", "1", "--rho", "1e-3",
             "--strike", "100", "--barrier", "120", "--spot", "110"]
     code, doc = run_json(args, capsys)
-    assert code == 2
-    assert issubclass(getattr(errors, doc["error"]["type"]), errors.CancelPutError)
+    assert code == 0
+    assert doc["a_star"] == pytest.approx(99.9488304676, rel=1e-9)
+    assert doc["value"] == pytest.approx(0.0429926723992, rel=1e-9)
+    assert doc["creeping_factor"] == pytest.approx(4.53922948778e-304, rel=1e-9)
+    assert doc["undershoot_factor"] == pytest.approx(0.952331253476, rel=1e-9)
 
 
 def test_invalid_params_exit_2(capsys):
@@ -843,12 +848,15 @@ def test_price_does_not_import_scipy():
 def test_closed_form_commands_do_not_import_numpy(tmp_path):
     # numpy serves only the Monte Carlo and diagnostics layers: importing the
     # package and the closed-form commands must not load it, and the lazy
-    # names must load it on first use.
+    # names must load it on first use.  The closed-form records are not
+    # dataclasses, so dataclasses and the inspect it imports stay out too.
     code = (
         "import contextlib, io, sys\n"
         "import cancelput\n"
         "from cancelput import cli\n"
-        "assert 'numpy' not in sys.modules, 'imported by the package'\n"
+        "heavy = ('numpy', 'dataclasses', 'inspect')\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, f'imported by the package: {loaded}'\n"
         "flags, out = sys.argv[1:-1], sys.argv[-1]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['price', *flags]) == 0\n"
@@ -857,7 +865,8 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path):
         "                     '--grid-step', '0.5']) == 0\n"
         "    assert cli.main(['curve', *flags, '--smin', '10', '--smax', '200',\n"
         "                     '--points', '40', '--out', out]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'imported by a command'\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, f'imported by a command: {loaded}'\n"
         "assert {'McConfig', 'mc_suite', 'simulate_paths'} <= set(dir(cancelput))\n"
         "from cancelput import McConfig\n"
         "assert 'numpy' in sys.modules\n"

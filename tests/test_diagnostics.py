@@ -2,8 +2,6 @@
 evaluation of W they run on, and the Monte Carlo suite's mode agreement."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -83,7 +81,7 @@ def test_mode_agreement_catches_a_survival_weight_off_by_two_percent(model, requ
         return res
 
     assert agree(m).passed
-    off = agree(replace(m, alpha=1.02 * m.alpha))
+    off = agree(m._replace(alpha=1.02 * m.alpha))
     assert not off.passed and off.observed > off.bound
 
 

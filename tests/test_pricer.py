@@ -1,7 +1,6 @@
 """Closed-form pricing: payoff, passage factors, threshold, value, generator."""
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -237,7 +236,7 @@ def test_threshold_sign_guard(model_jumps, contract):
     # A basis whose second coefficient has the wrong sign breaks the
     # first-order condition's premises: a typed error, not an assert.
     b = basis_for(model_jumps)
-    flipped = dataclasses.replace(b, c=(b.c[0], -b.c[1], b.c[2]))
+    flipped = b._replace(c=(b.c[0], -b.c[1], b.c[2]))
     with pytest.raises(InconsistentBasis):
         optimal_threshold(flipped, model_jumps, contract)
 
@@ -261,11 +260,10 @@ def test_factor_outside_the_unit_interval_warns_and_clamps(raw, clamped):
 def test_threshold_sign_guard_survives_optimize_flag():
     # Under python -O asserts vanish; the guard must still fire.
     code = (
-        "import dataclasses\n"
         "from cancelput import Contract, InconsistentBasis, basis_for, make_model, optimal_threshold\n"
         "m = make_model(0.05, 0.2, 5.0, 2.0)\n"
         "b = basis_for(m)\n"
-        "b = dataclasses.replace(b, c=(b.c[0], -b.c[1], b.c[2]))\n"
+        "b = b._replace(c=(b.c[0], -b.c[1], b.c[2]))\n"
         "try:\n"
         "    optimal_threshold(b, m, Contract(100.0, 120.0, 110.0))\n"
         "except InconsistentBasis:\n"
