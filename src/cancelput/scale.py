@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 
 from ._record import Record, _set
-from .errors import DegenerateRoots
+from .errors import DegenerateRoots, DomainError
 from .model import ModelParams
 
 #: Two roots closer than this are treated as coincident.
 _ROOT_SEP_TOL = 1e-10
-_MAX_EXP_ARG = 700.0  # exp() overflows just above 709; saturate before that
 
 
 class ScaleBasis(Record):
@@ -113,25 +112,45 @@ def basis_for(m: ModelParams) -> ScaleBasis:
     return ScaleBasis(eta=etas, c=coeffs)
 
 
+def _in_range(name: str, x: float, evaluate) -> float:
+    """The one range rule of W, its integral and Z: ``evaluate()``, or a
+    :class:`DomainError` naming ``x`` where that overflows the float range.
+    Each grows like c1 e^x, so that is where c1 e^x (r c1 e^x for Z) does,
+    or from x = 709.78 on, where e^x itself does."""
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if not abs(value) < math.inf:
+        raise DomainError(f"{name} at x={x} is beyond the float range")
+    return value
+
+
 def w_r(b: ScaleBasis, x: float) -> float:
     """W at ``x``; zero for ``x < 0`` by convention.
 
-    Evaluated as e^x * (c1 + sum_i c_i e^{(eta_i - 1) x}) so that large
-    arguments never exponentiate a positive multiple of x twice.
+    Evaluated as e^x * (c1 + sum_i c_i e^{(eta_i - 1) x}): every eta_i <= 1,
+    so e^x is the only factor that grows.
     """
     if x < 0.0:
         return 0.0
     acc = 0.0
     for ei, ci in zip(b.eta, b.c):
-        acc += ci * math.exp(min((ei - 1.0) * x, _MAX_EXP_ARG))
-    return math.exp(min(x, _MAX_EXP_ARG)) * acc
+        acc += ci * math.exp((ei - 1.0) * x)
+    return _in_range("W", x, lambda: math.exp(x) * acc)
+
+
+def w_integral(b: ScaleBasis, x: float) -> float:
+    """Integral of W from 0 to ``x``, sum c_i expm1(eta_i x)/eta_i; zero for
+    ``x < 0``.  expm1 keeps each term accurate near 0, where (Z - 1)/r would
+    carry the roundoff of Z = 1 + O(r)."""
+    if x < 0.0:
+        return 0.0
+    return _in_range(
+        "the integral of W", x, lambda: sum(c * math.expm1(e * x) / e for e, c in zip(b.eta, b.c))
+    )
 
 
 def z_r(b: ScaleBasis, m: ModelParams, x: float) -> float:
     """Z at ``x``: 1 + r * integral of W from 0 to x; one for ``x < 0``."""
-    if x < 0.0:
-        return 1.0
-    acc = 0.0
-    for ei, ci in zip(b.eta, b.c):
-        acc += ci * (math.exp(min(ei * x, _MAX_EXP_ARG)) - 1.0) / ei
-    return 1.0 + m.r * acc
+    return _in_range("Z", x, lambda: 1.0 + m.r * w_integral(b, x))

@@ -1,11 +1,12 @@
 """The suites' own power: the analytic suite's W checks and the array
-evaluation of W they run on, and the Monte Carlo suite's mode agreement."""
+evaluation of W they run on, its generator identity, and the Monte Carlo
+suite's mode agreement."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from cancelput import diagnostics, scale
+from cancelput import diagnostics, pricer, scale
 from cancelput.mc import McConfig
 from cancelput.model import make_model
 from cancelput.scale import ScaleBasis, basis_for, w_r
@@ -17,6 +18,7 @@ def test_w_check_fails_on_a_basis_whose_w_dips(model_nojump, contract, monkeypat
     # c = (c1/3, -c1) gives W(0) = -2 c1/3 < 0, then W rises like e^x.  Only
     # c1 changes, so the creeping factor (which reads eta_2 and c_2 alone)
     # stays in [0, 1] and the rest of the suite runs as on the true basis.
+    # The dip is read relative to sum |c_i e^{eta_i x}| = 4 c1/3 at x = 0.
     true = basis_for(model_nojump)
     c1 = true.c[0]
     dipping = ScaleBasis(eta=true.eta, c=(c1 / 3.0, -c1))
@@ -25,7 +27,32 @@ def test_w_check_fails_on_a_basis_whose_w_dips(model_nojump, contract, monkeypat
         res for res in diagnostics.analytic_suite(model_nojump, contract) if res.name == W_CHECK
     ]
     assert not check.passed
-    assert check.observed == pytest.approx(2.0 * c1 / 3.0, rel=1e-12)
+    assert check.observed == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
+def test_generator_identity_catches_a_drift_off_by_1e7(model, request, contract, monkeypatch):
+    # h_function's delta scaled by 1 + 1e-7 moves it about 1e-7 relative off
+    # (L - r)G, a million times the identity's bound; the true delta passes.
+    m = request.getfixturevalue(model)
+
+    def identity():
+        (res,) = [
+            res for res in diagnostics.analytic_suite(m, contract)
+            if res.name == "generator identity"
+        ]
+        return res
+
+    assert identity().passed
+
+    def off(m, c, s):
+        tilt = (c.barrier / s) ** m.alpha
+        delta = (pricer.h_function(m, c, s) / tilt + m.r * c.strike) / s
+        return tilt * (delta * (1.0 + 1e-7) * s - m.r * c.strike)
+
+    monkeypatch.setattr(diagnostics, "h_function", off)
+    res = identity()
+    assert not res.passed and res.observed > 1e3 * res.bound
 
 
 @pytest.mark.parametrize("lam", [5.0, 1e-17])

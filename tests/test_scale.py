@@ -8,10 +8,10 @@ import pytest
 from scipy.integrate import quad
 
 import cancelput
-from cancelput.errors import DegenerateRoots
+from cancelput.errors import DegenerateRoots, DomainError
 from cancelput.model import laplace_exponent, make_model
 from cancelput.pricer import Contract, price
-from cancelput.scale import _partial_fraction_weights, basis_for, w_r, z_r
+from cancelput.scale import _partial_fraction_weights, basis_for, w_integral, w_r, z_r
 
 REL = 1e-12
 
@@ -156,6 +156,24 @@ def test_coincident_roots_rejected():
 
 
 def test_no_overflow_far_from_origin(model_jumps):
+    # W and Z grow like e^x: finite at 600, beyond the float range at 720,
+    # where both refuse with a typed error that names x instead of a value.
     b = basis_for(model_jumps)
-    assert math.isfinite(w_r(b, 600.0))
-    assert math.isfinite(w_r(b, 720.0))  # exponent argument saturates
+    assert math.isfinite(w_r(b, 600.0)) and math.isfinite(z_r(b, model_jumps, 600.0))
+    for f in (lambda x: w_r(b, x), lambda x: z_r(b, model_jumps, x)):
+        with pytest.raises(DomainError, match="x=720.0"):
+            f(720.0)
+
+
+def test_w_integral_is_accurate_to_its_terms(model_jumps):
+    # sum c_i expm1(eta_i x)/eta_i against 40-digit mpmath, down to tiny x,
+    # relative to the sum of its terms' magnitudes: no 1/r amplification, as
+    # forming it from Z - 1 would bring.
+    mpmath = pytest.importorskip("mpmath")
+    b = basis_for(model_jumps)
+    for x in (1e-12, 1e-6, 1e-2, 1.0, 5.0):
+        with mpmath.workdps(40):
+            terms = [mpmath.mpf(c) * mpmath.expm1(mpmath.mpf(e) * x) / e
+                     for e, c in zip(b.eta, b.c)]
+            want, size = float(sum(terms)), float(sum(map(abs, terms)))
+        assert abs(w_integral(b, x) - want) <= 1e-15 * size
