@@ -37,9 +37,9 @@ from .pricer import (
     value_at_threshold,
 )
 
-# The Monte Carlo and diagnostics layers need numpy; the closed forms above
-# do not.  Their names resolve on first access (PEP 562), so importing the
-# package and quoting stay on the standard library.
+# These resolve on first access (PEP 562): the Monte Carlo layer needs numpy,
+# and the diagnostics, which do not, would cost import time to load.  Importing
+# the package and quoting stay on the standard library and cheap.
 _LAZY = {
     "McConfig": "mc",
     "McEstimate": "mc",

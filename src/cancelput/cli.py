@@ -1,8 +1,8 @@
 """Command-line front end: price, threshold, curve, validate, simulate.
 
-The closed-form commands run on the standard library alone; the Monte
-Carlo and diagnostics layers (and with them numpy) are imported inside the
-commands that use them.
+The closed-form commands and the analytic suite run on the standard library
+alone; the Monte Carlo layer (and with it numpy) and the diagnostics are
+imported inside the commands that use them.
 """
 
 from __future__ import annotations

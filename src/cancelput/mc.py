@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,6 +324,9 @@ def _run_paths(
     ]
     if len(chunks) <= 1:
         return _simulate(m, level, horizon, int(cfg.seed), ids, purposes)
+    # Imported here, so that a one-worker run does not load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         parts = list(pool.map(_simulate, *zip(*chunks)))
     return tuple(np.concatenate(cols) for cols in zip(*parts))

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: JSON schema, exit codes, config files, CSV output."""
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -473,10 +474,9 @@ def test_simulate_deterministic_across_workers(tmp_path, capsys):
 
 
 def test_simulate_zero_workers_exit_2(tmp_path, capsys, monkeypatch):
-    from cancelput import mc
-
     started = []
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: started.append(max_workers))
     code, doc = run_json(["simulate", *JUMPS, "--paths", "150", "--seed", "1",
                           "--workers", "0", "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2 and doc["error"]["type"] == "ConfigError"
@@ -485,10 +485,9 @@ def test_simulate_zero_workers_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_workers_limit_exit_2(tmp_path, capsys, monkeypatch):
-    from cancelput import mc
-
     started = []
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: started.append(max_workers))
     code, doc = run_json(["simulate", *JUMPS, "--paths", "5000", "--seed", "1",
                           "--workers", "5000", "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2 and doc["error"]["type"] == "ConfigError"
@@ -884,6 +883,30 @@ def test_closed_form_commands_do_not_import_numpy(tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code, *JUMPS, str(tmp_path / "c.csv")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_analytic_validation_does_not_import_numpy():
+    # The analytic suite runs on plain floats: on both paper sets it leaves
+    # numpy and the simulator unloaded, and the MC suite then loads them.
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from cancelput import cli\n"
+        "heavy = ('numpy', 'cancelput.mc')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for flags in json.loads(sys.argv[1]):\n"
+        "        assert cli.main(['validate', *flags, '--suite', 'analytic']) == 0\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, f'imported by the analytic suite: {loaded}'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['validate', *flags, '--suite', 'mc', '--paths', '200',\n"
+        "                     '--seed', '3']) in (0, 1)\n"
+        "missing = [m for m in heavy if m not in sys.modules]\n"
+        "assert not missing, f'not imported by the MC suite: {missing}'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps([BASE, JUMPS])],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
 

@@ -1,33 +1,51 @@
-"""The suites' own power: the analytic suite's W checks and the array
-evaluation of W they run on, its generator identity, and the Monte Carlo
-suite's mode agreement."""
+"""The suites' own power: the analytic suite's W checks, read from the
+coefficients' signs and from ``w_r``, its generator identity, its grids at
+the top of the float range, and the Monte Carlo suite's mode agreement."""
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from cancelput import diagnostics, pricer, scale
 from cancelput.mc import McConfig
 from cancelput.model import make_model
+from cancelput.pricer import Contract
 from cancelput.scale import ScaleBasis, basis_for, w_r
 
 W_CHECK = "W nonnegative and nondecreasing"
+SUM_CHECK = "coefficients sum to zero"
+
+
+def _suite_on(basis, m, c, monkeypatch):
+    """The analytic suite's results by name, run on ``basis`` in place of m's."""
+    monkeypatch.setattr(diagnostics, "basis_for", lambda m: basis)
+    return {res.name: res for res in diagnostics.analytic_suite(m, c)}
 
 
 def test_w_check_fails_on_a_basis_whose_w_dips(model_nojump, contract, monkeypatch):
     # c = (c1/3, -c1) gives W(0) = -2 c1/3 < 0, then W rises like e^x.  Only
     # c1 changes, so the creeping factor (which reads eta_2 and c_2 alone)
     # stays in [0, 1] and the rest of the suite runs as on the true basis.
-    # The dip is read relative to sum |c_i e^{eta_i x}| = 4 c1/3 at x = 0.
+    # Both slopes c_i eta_i keep their signs, so W still rises; its dip below
+    # zero is W(0) = sum c_i, which the coefficient sum reads.
     true = basis_for(model_nojump)
     c1 = true.c[0]
     dipping = ScaleBasis(eta=true.eta, c=(c1 / 3.0, -c1))
-    monkeypatch.setattr(diagnostics, "basis_for", lambda m: dipping)
-    (check,) = [
-        res for res in diagnostics.analytic_suite(model_nojump, contract) if res.name == W_CHECK
-    ]
-    assert not check.passed
-    assert check.observed == pytest.approx(0.5, rel=1e-12)
+    results = _suite_on(dipping, model_nojump, contract, monkeypatch)
+    assert not results[SUM_CHECK].passed
+    assert results[SUM_CHECK].observed == pytest.approx(2.0 * c1 / 3.0, rel=1e-12)
+    assert results[W_CHECK].passed and results[W_CHECK].observed == 0.0
+
+
+def test_w_check_reads_the_share_of_wrong_signed_slopes(model_nojump, contract, monkeypatch):
+    # c = (-c1, -c1): the e^x term's slope -c1 is wrong-signed, the other,
+    # -c1 eta_2 = c1 |eta_2|, is not, so the share is 1/(1 + |eta_2|), 2/3 at
+    # eta_2 = -1/2.  c_2 is untouched, so the rest of the suite still runs.
+    true = basis_for(model_nojump)
+    c1 = true.c[0]
+    falling = ScaleBasis(eta=true.eta, c=(-c1, -c1))
+    check = _suite_on(falling, model_nojump, contract, monkeypatch)[W_CHECK]
+    assert not check.passed and check.bound == 0.0
+    assert check.observed == pytest.approx(1.0 / (1.0 - true.eta[1]), rel=1e-15)
 
 
 @pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
@@ -65,20 +83,13 @@ def test_root_residuals_are_relative_and_cleared_of_the_pole(lam, contract):
     assert check.passed and check.observed <= 1e-15 and check.bound == 1e-14
 
 
-@pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
-def test_w_grid_matches_the_scalar_w(model, request):
-    b = basis_for(request.getfixturevalue(model))
-    xs = np.arange(0.0, 5.0 + 1e-9, 1e-3)
-    want = np.array([w_r(b, x) for x in xs.tolist()])
-    # W(0) = 0 exactly in both; near 0 both sums cancel, hence the floor.
-    assert np.all(np.abs(diagnostics._w_grid(b, xs) - want) <= 1e-12 * np.abs(want) + 1e-15)
-
-
 def test_analytic_suite_does_not_evaluate_w_point_by_point(
     model_nojump, model_jumps, contract, monkeypatch
 ):
-    # The W checks scan 5,001 + 101 + 25 points; a scalar loop over any of
-    # the larger grids shows up as thousands of w_r calls.
+    # W is read through w_r at 25 points ("Z' = r W") and, without jumps, 101
+    # more (the Brownian form): 126 for the jump-free set, 25 with jumps.
+    # Its monotonicity comes from the coefficients' signs, so a scan of W
+    # over a fine grid would show up as thousands of calls.
     calls = []
 
     def counted(b, x):
@@ -86,10 +97,21 @@ def test_analytic_suite_does_not_evaluate_w_point_by_point(
         return w_r(b, x)
 
     monkeypatch.setattr(scale, "w_r", counted)
-    monkeypatch.setattr(diagnostics, "w_r", counted, raising=False)
+    monkeypatch.setattr(diagnostics, "w_r", counted)
     for m in (model_nojump, model_jumps):
         assert all(res.passed for res in diagnostics.analytic_suite(m, contract))
     assert len(calls) < 200
+
+
+@pytest.mark.parametrize("lam", [0.0, 5.0])
+def test_analytic_suite_grids_stay_finite_at_the_top_of_the_float_range(lam):
+    # "Value dominates the payoff" runs to 5h and the plain-put bound to 3h;
+    # at h = 1e308 both tops pass the largest float, which must cap them.
+    m = make_model(r=0.05, sigma2=0.2, lam=lam, rho=2.0)
+    results = diagnostics.analytic_suite(m, Contract(strike=100.0, barrier=1e308, spot=110.0))
+    assert len(results) == (19 if lam == 0.0 else 17)
+    failed = [res for res in results if not res.passed]
+    assert not failed, failed
 
 
 AGREE = "survival and direct modes agree"

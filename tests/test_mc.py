@@ -7,15 +7,18 @@ the acceptance gate also uses.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cancelput import mc
-from cancelput.errors import ConfigError
+from cancelput.errors import CancelPutError, ConfigError
 from cancelput.mc import (
     McConfig,
     McMode,
@@ -24,7 +27,8 @@ from cancelput.mc import (
     simulate_paths,
 )
 from cancelput.model import ModelParams, _laplace_exponent_deriv, laplace_exponent, make_model
-from cancelput.pricer import Contract, grid_search_threshold
+from cancelput.pricer import Contract, grid_search_threshold, optimal_threshold
+from cancelput.scale import basis_for
 
 A_STAR_NOJUMP = 50.0
 VALUE_NOJUMP = 21.759706994462224
@@ -278,7 +282,7 @@ class _RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     return _RecordingPool.sizes
 
 
@@ -301,6 +305,38 @@ def test_traces_bit_identical_across_workers(model_jumps, contract):
                 model_jumps, contract, A_STAR_JUMPS, dataclasses.replace(cfg, workers=workers)
             )
             assert _same_paths(many, one)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(
+    r=_log_uniform(1e-4, 0.5),
+    sigma2=_log_uniform(1e-8, 2.0),
+    lam=st.one_of(st.just(0.0), _log_uniform(1e-7, 10.0)),
+    rho=_log_uniform(0.1, 50.0),
+    barrier_ratio=_log_uniform(1.0001, 3.0),
+    n_paths=st.integers(100, 400),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_paths_bit_identical_across_workers_over_the_box(
+    r, sigma2, lam, rho, barrier_ratio, n_paths, seed
+):
+    # tests/test_domain.py's box, cut to lambda <= 10 and rho >= 0.1 so that
+    # no draw runs long, with the spot at min(1.3 a*, h).  Sets that do not
+    # price (an upward drift) are not drawn.
+    try:
+        m = make_model(r, sigma2, lam, rho)
+        c = Contract(strike=100.0, barrier=100.0 * barrier_ratio, spot=100.0)
+        a = optimal_threshold(basis_for(m), m, c)
+    except CancelPutError:
+        assume(False)
+    c = c._replace(spot=min(1.3 * a, c.barrier))
+    cfg = McConfig(n_paths=n_paths, horizon=max(200.0, 10.0 / r), seed=seed)
+    one = simulate_paths(m, c, a, cfg)
+    assert _same_paths(simulate_paths(m, c, a, dataclasses.replace(cfg, workers=2)), one)
 
 
 @pytest.mark.parametrize("cap, first_events", [(64, 1), (7, 3), (1, 1)])
