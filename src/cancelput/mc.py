@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import ModelParams, _laplace_exponent_deriv, _psi_rational
+from .model import ModelParams, laplace_exponent
 from .pricer import Contract
 
 #: Path-events per kernel step; bounds every temporary array.
@@ -38,8 +38,6 @@ _MAX_WORKERS = 64
 #: The return run ends at log(_RETURN_BIAS)/psi(theta), after which every
 #: weight e^{-theta l + psi(theta) T} is below this: it bounds the bias.
 _RETURN_BIAS = 1e-12
-#: Bisection steps for the tilt's root and minimum of psi on (0, 1).
-_TILT_STEPS = 40
 
 # Counter purposes of a run's (normal, crossing, jump) draws: each yields
 # two uniforms per (event, path).
@@ -338,23 +336,21 @@ def _tilt(m: ModelParams) -> tuple[float, float, ModelParams]:
     Under the Esscher tilt P^theta with psi(theta) < 0 < psi'(theta) the
     process drifts up, so every stopped path returns, and the likelihood
     ratio e^{-theta l + psi(theta) T} of a return over l at time T has mean
-    P(return) (Siegmund 1976; Asmussen & Albrecher 2010, ch. XV).  psi's
-    minimum and positive root lie in (0, 1), as psi(0) = 0 > psi'(0) and
-    psi(1) = r; theta is 3/4 of the way from the one to the other.  It comes
-    from psi alone, never from ``m.alpha``: at the root -alpha each weight
-    would be the survival factor, and the modes would no longer check it.
+    P(return) (Siegmund 1976; Asmussen & Albrecher 2010, ch. XV).  Every
+    theta in (q/2, q), q = -alpha the positive root of psi, is such a tilt:
+    g(t) = psi(t)/t = mu + sigma2 t/2 - lam/(t + rho) is increasing and
+    concave on t > 0 and 0 at q, so psi < 0 on (0, q), and concavity gives
+    psi'(q/2) = g(q/2) + (q/2) g'(q/2) >= g(q) = 0, so psi's minimum lies at
+    or left of q/2.  theta is 3/4 of the way from that bound to q.
+
+    The modes stay independent checks of each other: the weights read psi
+    from (mu, sigma2, lam, rho), never from alpha; alpha only places theta
+    inside the interval; and theta is never q itself, where each weight
+    would be the survival factor.
     """
-
-    def bisect(f, lo: float, hi: float) -> float:
-        for _ in range(_TILT_STEPS):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if f(m, mid) < 0.0 else (lo, mid)
-        return lo
-
-    low = bisect(_laplace_exponent_deriv, 0.0, 1.0)
-    theta = low + 0.75 * (bisect(_psi_rational, low, 1.0) - low)
+    theta = 0.875 * -m.alpha
     mu, lam, rho = m.mu + m.sigma2 * theta, m.lam * m.rho / (m.rho + theta), m.rho + theta
-    return theta, _psi_rational(m, theta), m._replace(mu=mu, lam=lam, rho=rho)
+    return theta, laplace_exponent(m, theta), m._replace(mu=mu, lam=lam, rho=rho)
 
 
 def simulate_paths(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> PolicyPaths:

@@ -101,26 +101,9 @@ def laplace_exponent(model: ModelParams, theta: float) -> float:
     or left of the pole raises :class:`PoleError`.  Without jumps the
     function is an entire quadratic.
     """
-    if model.lam > 0.0 and theta <= -model.rho:
-        raise PoleError(
-            f"theta={theta} is at or beyond the jump-term pole at {-model.rho}"
-        )
-    return _psi_rational(model, theta)
-
-
-def _psi_rational(model: ModelParams, theta: float) -> float:
-    """Rational continuation of the Laplace exponent -- no pole check.
-
-    Used internally on (0, 1), where the pole is never reached.
-    """
     out = model.mu * theta + model.sigma2 * theta * theta / 2.0
     if model.lam > 0.0:
+        if theta <= -model.rho:
+            raise PoleError(f"theta={theta} is at or beyond the jump-term pole at {-model.rho}")
         out -= model.lam * theta / (theta + model.rho)
-    return out
-
-
-def _laplace_exponent_deriv(model: ModelParams, theta: float) -> float:
-    out = model.mu + model.sigma2 * theta
-    if model.lam > 0.0:
-        out -= model.lam * model.rho / (theta + model.rho) ** 2
     return out

@@ -212,6 +212,31 @@ BASE_FILE = "r = 0.05\nsigma2 = 0.2\nstrike = 100\nbarrier = 120\nspot = 110\n"
 JUMPS_FILE = BASE_FILE + "lambda = 5\nrho = 2\n"
 
 
+def test_config_file_that_is_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(BASE_FILE.encode() + b"# \xff\n")
+    code, doc = run_json(["price", "--config", str(cfg)], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert str(cfg) in doc["error"]["message"] and "UTF-8" in doc["error"]["message"]
+
+
+def test_repeated_config_key_exit_2(tmp_path, capsys):
+    # The second r would silently replace the first; neither is guessed.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 0.05\n" + BASE_FILE.replace("r = 0.05", "r = 0.07"))
+    code, doc = run_json(["price", "--config", str(cfg)], capsys)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert doc["error"]["message"] == f"{cfg}:2: key 'r' already set on line 1"
+
+
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_unreadable_config_file_exit_3(name, tmp_path, capsys):
+    # A path that does not exist, or a directory: an I/O error, not bad input.
+    code = main(["price", "--config", str(tmp_path / name)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and err.startswith("io error: ")
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [

@@ -1,0 +1,59 @@
+"""Module boundaries: the package's modules share only public names.
+
+An underscore name is private to its module; another module that imports
+it depends on an implementation detail.  ``_record`` is the one exception:
+it exists to share ``Record`` and ``_set`` with the record modules.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cancelput
+
+PACKAGE = Path(cancelput.__file__).parent
+SHARED = "_record"
+
+
+def _private_imports(source: str) -> list[str]:
+    """'line: module.name' for each underscore name ``source`` imports from
+    a sibling module, at module level or inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            module = node.module or ""
+        elif (node.module or "").startswith("cancelput."):
+            module = node.module.removeprefix("cancelput.")
+        else:
+            continue  # the standard library or a third-party package
+        if module == SHARED:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not (module == "" and alias.name == SHARED):
+                found.append(f"{node.lineno}: {module}.{alias.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_from_a_sibling(path):
+    assert _private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_every_form_of_private_import():
+    source = (
+        "import math\n"
+        "from math import _private\n"
+        "from .model import ModelParams, _psi\n"
+        "from cancelput.mc import _tilt\n"
+        "from ._record import Record, _set\n"
+        "from . import _record, _scale\n"
+        "def f():\n"
+        "    from .scale import _roots\n"
+    )
+    assert sorted(_private_imports(source)) == [
+        "3: model._psi", "4: mc._tilt", "6: ._scale", "8: scale._roots"
+    ]

@@ -26,9 +26,10 @@ from cancelput.mc import (
     estimate_value,
     simulate_paths,
 )
-from cancelput.model import ModelParams, _laplace_exponent_deriv, laplace_exponent, make_model
+from cancelput.model import ModelParams, laplace_exponent, make_model
 from cancelput.pricer import Contract, grid_search_threshold, optimal_threshold
 from cancelput.scale import basis_for
+from test_domain import _draws
 
 A_STAR_NOJUMP = 50.0
 VALUE_NOJUMP = 21.759706994462224
@@ -54,6 +55,14 @@ def _same_paths(p, q) -> bool:
         and (p.returned is None or np.array_equal(p.returned, q.returned))
         and p.horizon == q.horizon
     )
+
+
+def _psi_prime(m, theta):
+    """psi'(theta), the slope of the Laplace exponent, written out here."""
+    out = m.mu + m.sigma2 * theta
+    if m.lam > 0.0:
+        out -= m.lam * m.rho / (theta + m.rho) ** 2
+    return out
 
 
 def _replay(m, c, a, cfg, path):
@@ -433,12 +442,30 @@ def test_tilt_makes_the_return_sure_and_the_weight_small(m):
     # the root -alpha, at which each weight would be the survival factor.
     theta, psi, tilted = mc._tilt(m)
     assert psi == laplace_exponent(m, theta)
-    assert psi < 0.0 < _laplace_exponent_deriv(m, theta)
+    assert psi < 0.0 < _psi_prime(m, theta)
     assert theta != -m.alpha and 0.0 < theta < -m.alpha
     # The tilted law's slope at 0 is psi'(theta): it drifts up.
-    assert _laplace_exponent_deriv(tilted, 0.0) == pytest.approx(
-        _laplace_exponent_deriv(m, theta), rel=1e-12
-    )
+    assert _psi_prime(tilted, 0.0) == pytest.approx(_psi_prime(m, theta), rel=1e-12)
+
+
+def test_tilt_is_seven_eighths_of_the_root_across_the_box():
+    # Every model the domain box's first 2,000 draws build: theta = 7q/8,
+    # q = -alpha, lies in (q/2, q), where psi(t)/t is concave and rising, so
+    # psi(theta) < 0 < psi'(theta) with no search.
+    built = 0
+    for params, _barrier_ratio, _spot_ratio in _draws():
+        try:
+            m = make_model(*params)
+        except CancelPutError:
+            continue
+        built += 1
+        q = -m.alpha
+        theta, psi, _tilted = mc._tilt(m)
+        assert q / 2.0 < theta < q and theta == 0.875 * q, params
+        assert psi < 0.0 < _psi_prime(m, theta), params
+    assert built == 1186
+    # Without jumps q/2 is psi's minimum itself; on the paper set q = 1/2.
+    assert mc._tilt(make_model(r=0.05, sigma2=0.2, lam=0.0, rho=1.0))[0] == 0.4375
 
 
 def test_direct_mode_draws_bounded_events(model_jumps, contract, monkeypatch):
