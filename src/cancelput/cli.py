@@ -57,7 +57,7 @@ _GRID_MAX_POINTS = 100_000
 def _read_config_file(path: str) -> dict[str, str]:
     """The file's key = value settings; a key may appear only once."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = list(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None

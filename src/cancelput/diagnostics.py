@@ -17,6 +17,7 @@ from .model import ModelParams, laplace_exponent
 from .pricer import (
     Contract,
     bs_reference,
+    g_integral,
     g_payoff,
     h_function,
     optimal_threshold,
@@ -68,16 +69,6 @@ def _root_residual(m: ModelParams, theta: float) -> float:
     return abs(sum(terms)) / sum(map(abs, terms))
 
 
-def _right_derivative(f, s: float) -> float:
-    """One-sided forward-difference ladder with two Richardson levels."""
-    steps = (1e-4 * s, 5e-5 * s, 2.5e-5 * s)
-    f0 = f(s)
-    d = [(f(s + h) - f0) / h for h in steps]
-    r1 = 2.0 * d[1] - d[0]
-    r2 = 2.0 * d[2] - d[1]
-    return (4.0 * r2 - r1) / 3.0
-
-
 def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
     """Closed-form identity checks for one parameter set."""
     b = basis_for(m)
@@ -124,28 +115,32 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
     out.append(_check("W nonnegative and nondecreasing", wrong, 0.0))
 
     a_star = optimal_threshold(b, m, c)
-    k = c.strike
-    gap = abs(value_at_threshold(b, m, c, a_star, a_star) - g_payoff(m, c, a_star))
+    k, alpha, half = c.strike, m.alpha, m.sigma2 / 2.0
+    g, g_bar = g_payoff(m, c, a_star), g_integral(m, c, a_star)
+    gap = abs(value_at_threshold(b, m, c, a_star, a_star) - g)
     out.append(_check("value matching at the threshold", gap, 1e-10 * k))
 
-    v_right = _right_derivative(lambda s: value_at_threshold(b, m, c, s, a_star), a_star)
-    # G(s) = (K - s)(h/s)^alpha below the strike, differentiated exactly.
-    g_prime = (c.barrier / a_star) ** m.alpha * (-1.0 - m.alpha * (k - a_star) / a_star)
-    out.append(_check("smooth fit at the threshold", abs(v_right - g_prime), 1e-6 * abs(g_prime)))
+    # Smooth fit: at x = log(s/a*), V = creep G + under G_bar with creep = (s2/2)(W' - W)
+    # and under = Z - (s2/2)W' - (r - s2/2)W, so a* V'(a*+) is read from W's unregrouped sum
+    # at 0+ (the eta = 1 term too), against a* G'(a*) for G = (K - s)(h/s)^alpha.  (s2/2)W''
+    # is scaled term by term: formed plainly it overflows to NaN at s2 = 1e-300.
+    w2 = sum(half * t * e for e, t in zip(b.eta, slopes))
+    terms = [w2 * g, -half * slope * g, m.r * sum(b.c) * g_bar, -w2 * g_bar, -(m.r - half) * slope * g_bar,
+             (c.barrier / a_star) ** alpha * (a_star + alpha * (k - a_star))]
+    out.append(_check("smooth fit at the threshold", abs(sum(terms)) / sum(map(abs, terms)), 1e-10))
 
-    def d_threshold(s: float, h: float) -> float:
-        """Central difference of the value at ``s`` in the threshold."""
-        up, down = (value_at_threshold(b, m, c, s, a_star + d) for d in (h, -h))
-        return (up - down) / (2.0 * h)
-
-    # Steps of 1e-4 a* and half that, one Richardson level; a* + h stays below
-    # K where a* is within 0.01% of it.
-    h = min(1e-4 * a_star, (k - a_star) / 2.0)
-    worst_foc = max(
-        abs(4.0 * d_threshold(s, h / 2.0) - d_threshold(s, h)) / 3.0
-        for s in (1.1 * a_star, c.spot, 2.0 * k)
-    )
-    out.append(_check("first-order condition at the threshold", worst_foc, 1e-6))
+    # First-order condition: dV/da = 0 from every spot, so each e^{eta x} coefficient is
+    # stationary in a.  Over (h/a)^alpha it is a^-eta times C (K - a) + J (K/(rho - alpha)
+    # - a/(rho - alpha + 1)), C = (s2/2)(eta - 1), J = (1 - eta)(r/eta + s2/2) rho, a line
+    # in a: each negative root fixes its own threshold, and each must be a*.
+    worst_foc = 0.0
+    for e in b.eta[1:]:
+        a_e = k * (e + alpha) / (e + alpha - 1.0)
+        if m.lam > 0.0:
+            cc, jj = half * (e - 1.0), (1.0 - e) * (m.r / e + half) * m.rho
+            a_e *= (cc + jj / (m.rho - alpha)) / (cc + jj / (m.rho - alpha + 1.0))
+        worst_foc = max(worst_foc, abs(a_e - a_star) / a_star)
+    out.append(_check("first-order condition at the threshold", worst_foc, 1e-13))
 
     worst_dom = 0.0
     for s in _geomspace(0.1 * a_star, 5.0 * c.barrier, 500):

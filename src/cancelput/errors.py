@@ -44,7 +44,7 @@ class QuadratureFailure(CancelPutError):
 
 
 class ConfigError(CancelPutError):
-    """Simulation configuration violates a precondition."""
+    """A flag, config file, grid, curve or simulation setting violates a precondition."""
 
 
 class NumericsWarning(RuntimeWarning):

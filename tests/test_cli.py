@@ -220,6 +220,16 @@ def test_config_file_that_is_not_utf8_exit_2(tmp_path, capsys):
     assert str(cfg) in doc["error"]["message"] and "UTF-8" in doc["error"]["message"]
 
 
+def test_config_file_with_a_byte_order_mark_prices(tmp_path, capsys):
+    # Editors that save UTF-8 with a BOM put U+FEFF before the first key; it
+    # is not part of the key.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + BASE_FILE.encode())
+    code, doc = run_json(["price", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert doc == run_json(["price", *BASE], capsys)[1]
+
+
 def test_repeated_config_key_exit_2(tmp_path, capsys):
     # The second r would silently replace the first; neither is guessed.
     cfg = tmp_path / "run.cfg"
@@ -532,20 +542,28 @@ def test_validate_analytic_suites(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
+    "overrides",
     [
         # Gauss-Laguerre rules for the jump term disagree at rho = 0.03; the
         # generator identity needs no quadrature.
-        ("--rho", "0.03"),
+        {"--rho": "0.03"},
         # The root below the pole rounds onto -rho; the basis still has one
         # root each side of it, and the set prices as lambda = 0 does.
-        ("--lambda", "1e-17"),
+        {"--lambda": "1e-17"},
+        # The low root's decay length, 1/|eta_lo| = 7e-7, is far shorter than
+        # any finite-difference step in a*: smooth fit and the first-order
+        # condition are read exactly, with no step to choose.
+        {"--sigma2": "1e-6", "--lambda": "1", "--rho": "0.5"},
+        # test_huge_jump_root_prices' set: the low root is near -2e300, and
+        # (s2/2)W''(0+) is formed term by term, not as a NaN.
+        {"--sigma2": "1e-300", "--lambda": "1", "--rho": "1e-3"},
     ],
-    ids=["rho-0.03", "lambda-1e-17"],
+    ids=["rho-0.03", "lambda-1e-17", "sigma2-1e-6", "sigma2-1e-300"],
 )
-def test_validate_analytic_passes_at_small_rho_and_lambda(flag, value, capsys):
+def test_validate_analytic_passes_at_small_rho_and_lambda(overrides, capsys):
     args = ["validate", *JUMPS, "--suite", "analytic"]
-    args[args.index(flag) + 1] = value
+    for flag, value in overrides.items():
+        args[args.index(flag) + 1] = value
     code, out = run_cli(args, capsys)
     assert code == 0
     verdicts = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]

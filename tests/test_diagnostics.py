@@ -1,6 +1,7 @@
 """The suites' own power: the analytic suite's W checks, read from the
-coefficients' signs and from ``w_r``, its generator identity, its grids at
-the top of the float range, and the Monte Carlo suite's mode agreement."""
+coefficients' signs and from ``w_r``, its generator identity, its exact
+smooth-fit and first-order readings, its grids at the top of the float
+range, and the Monte Carlo suite's mode agreement."""
 from __future__ import annotations
 
 import pytest
@@ -71,6 +72,26 @@ def test_generator_identity_catches_a_drift_off_by_1e7(model, request, contract,
     monkeypatch.setattr(diagnostics, "h_function", off)
     res = identity()
     assert not res.passed and res.observed > 1e3 * res.bound
+
+
+THRESHOLD_CHECKS = ("smooth fit at the threshold", "first-order condition at the threshold")
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-8, 1e-6])
+@pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
+def test_threshold_checks_catch_a_moved_threshold(shift, model, request, contract,
+                                                   monkeypatch):
+    # Smooth fit and the first-order condition are read exactly, so a* moved
+    # by 1e-8 relative reads far above both bounds; the true a* passes.
+    m = request.getfixturevalue(model)
+    true = pricer.optimal_threshold
+    monkeypatch.setattr(diagnostics, "optimal_threshold",
+                        lambda b, m, c: true(b, m, c) * (1.0 + shift))
+    results = {res.name: res for res in diagnostics.analytic_suite(m, contract)}
+    for name in THRESHOLD_CHECKS:
+        res = results[name]
+        assert res.passed == (shift == 0.0), res
+        assert shift == 0.0 or res.observed > 10.0 * res.bound
 
 
 @pytest.mark.parametrize("lam", [5.0, 1e-17])

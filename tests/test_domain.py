@@ -160,15 +160,9 @@ def test_roots_match_the_oracle_across_the_box():
     assert _within_bounds(worst), worst
 
 
-# Left out of the sweep: the smooth-fit ladder's smallest step, 2.5e-5 a*,
-# is wider than the low exponent's decay length 1/|eta_lo| when sigma2 is
-# small, so it FAILs on correct prices (a FOUND in CHANGES.md).
-SMOOTH_FIT = "smooth fit at the threshold"
-
-
 def test_analytic_suite_passes_wherever_the_box_prices():
     # The first 500 draws at spot a* (s0/a*): every draw that prices runs the
-    # whole suite without raising, and every check but smooth fit passes.
+    # whole suite without raising, and every check passes.
     checked = 0
     for params, barrier_ratio, spot_ratio in itertools.islice(_draws(), 500):
         try:
@@ -179,7 +173,7 @@ def test_analytic_suite_passes_wherever_the_box_prices():
             price(b, m, c)
         except CancelPutError:
             continue
-        failed = [res for res in analytic_suite(m, c) if not res.passed and res.name != SMOOTH_FIT]
+        failed = [res for res in analytic_suite(m, c) if not res.passed]
         assert not failed, (params, c, failed)
         checked += 1
     assert checked > 250
@@ -193,5 +187,5 @@ def test_analytic_suite_passes_on_box_draw_1484():
     m = make_model(0.006486230603904512, 0.12010317310239024, 5.163544238333623e-06,
                    0.11143290207166266)
     c = Contract(strike=100.0, barrier=117.9796327142907, spot=52257747808.968796)
-    failed = [res for res in analytic_suite(m, c) if not res.passed and res.name != SMOOTH_FIT]
+    failed = [res for res in analytic_suite(m, c) if not res.passed]
     assert not failed, failed
