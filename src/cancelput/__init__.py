@@ -33,6 +33,7 @@ from .pricer import (
     h_function,
     optimal_threshold,
     passage_factors,
+    policy_values,
     price,
     value_at_threshold,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "mc_suite",
     "optimal_threshold",
     "passage_factors",
+    "policy_values",
     "price",
     "simulate_paths",
     "value_at_threshold",

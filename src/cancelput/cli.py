@@ -21,8 +21,8 @@ from .pricer import (
     g_payoff,
     grid_search_threshold,
     optimal_threshold,
+    policy_values,
     price,
-    value_at_threshold,
 )
 from .scale import basis_for
 
@@ -216,11 +216,10 @@ def cmd_price(args: argparse.Namespace) -> int:
 def cmd_threshold(args: argparse.Namespace) -> int:
     model, contract = _build_model_contract(args)
     cfg = _build_mc_config(args, model.r, simulates=args.mc)
-    basis = basis_for(model)
     if args.grid_step is None and cfg is None:
         _emit(
             {
-                "a_star": optimal_threshold(basis, model, contract),
+                "a_star": optimal_threshold(basis_for(model), model, contract),
                 "method": "closed-form",
                 "params_echo": _params_echo(model, contract),
             }
@@ -262,12 +261,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ConfigError(f"need 2 to {_GRID_MAX_POINTS} points, got {args.points}")
     basis = basis_for(model)
     a_star = optimal_threshold(basis, model, contract)
-    rows = ["s,payoff,value"]
+    points = []
     for i in range(args.points):
-        s = args.smin + (args.smax - args.smin) * i / (args.points - 1)
-        pay = g_payoff(model, contract, s)
-        val = value_at_threshold(basis, model, contract, s, a_star)
-        rows.append(f"{s:.12g},{pay:.12g},{val:.12g}")
+        points.append((args.smin + (args.smax - args.smin) * i / (args.points - 1), a_star))
+    rows = ["s,payoff,value"]
+    for (s, _), val in zip(points, policy_values(basis, model, contract, points)):
+        rows.append(f"{s:.12g},{g_payoff(model, contract, s):.12g},{val:.12g}")
     return _write_rows(args.out, rows)
 
 

@@ -21,6 +21,7 @@ from .pricer import (
     g_payoff,
     h_function,
     optimal_threshold,
+    policy_values,
     price,
     value_at_threshold,
 )
@@ -143,8 +144,8 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
     out.append(_check("first-order condition at the threshold", worst_foc, 1e-13))
 
     worst_dom = 0.0
-    for s in _geomspace(0.1 * a_star, 5.0 * c.barrier, 500):
-        v = value_at_threshold(b, m, c, s, a_star)
+    spots = _geomspace(0.1 * a_star, 5.0 * c.barrier, 500)
+    for s, v in zip(spots, policy_values(b, m, c, zip(spots, [a_star] * len(spots)))):
         worst_dom = max(worst_dom, g_payoff(m, c, s) - v)
     out.append(_check("value dominates the payoff", worst_dom, 1e-9))
 
@@ -180,9 +181,9 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
 
         # The plain put is a power of s: the spot's, times (s0/s)^-eta2 with -eta2 in (0, 1).
         worst_rel = 0.0
-        for s in _geomspace(0.2 * a_star, 3.0 * c.barrier, 100):
+        spots = _geomspace(0.2 * a_star, 3.0 * c.barrier, 100)
+        for s, v in zip(spots, policy_values(b, m, c, zip(spots, [a_star] * len(spots)))):
             plain = ref.plain_put * (c.spot / s) ** -eta2
-            v = value_at_threshold(b, m, c, s, a_star)
             worst_rel = max(worst_rel, v - plain)
         out.append(
             _check("cancellable never exceeds the plain put", worst_rel, 1e-12, f"plain at spot: {ref.plain_put:.4f}")

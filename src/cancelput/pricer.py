@@ -128,19 +128,45 @@ def g_integral(m: ModelParams, c: Contract, a: float) -> float:
     )
 
 
-def _clamped_unit(raw: float, label: str) -> float:
+def _clamped_unit(raw: float, label: str, s: float, a: float) -> float:
     if raw < -_CLAMP_TOL or raw > 1.0 + _CLAMP_TOL:
         warnings.warn(
-            f"{label} left [0, 1] by more than {_CLAMP_TOL} (raw {raw}); clamped",
+            f"{label} at s={s}, a={a} left [0, 1] by more than {_CLAMP_TOL} (raw {raw}); clamped",
             NumericsWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return min(1.0, max(0.0, raw))
 
 
-def passage_factors(
-    b: ScaleBasis, m: ModelParams, s: float, a: float
-) -> tuple[float, float]:
+def _passage_rows(b: ScaleBasis, m: ModelParams, pairs) -> list[tuple[float, float]]:
+    """:func:`passage_factors` for each (s, a) in ``pairs``, each root's weights formed once."""
+    r, s2, jumps = m.r, m.sigma2, m.lam != 0.0  # no jumps: undershoot weights are 0
+    const, terms = 1.0 - r * b.c[0] / b.eta[0] if jumps else 0.0, []
+    for ei, ci in zip(b.eta[1:], b.c[1:]):
+        if jumps:
+            const -= r * ci / ei
+        jump_weight = r / ei - s2 * ei / 2.0 - r + s2 / 2.0 if jumps else 0.0
+        terms.append((ei, ci * (ei - 1.0), ci, jump_weight))
+    rows = []
+    for s, a in pairs:
+        if not (s >= a > 0.0):
+            raise DomainError(f"need s >= a > 0, got s={s}, a={a}")
+        x = math.log(s / a)
+        creep = acc = 0.0
+        for ei, creep_weight, ci, jump_weight in terms:
+            e = math.exp(ei * x)
+            creep += creep_weight * e
+            acc += ci * e * jump_weight
+        creep, under = s2 / 2.0 * creep, const + acc
+        if not 0.0 <= creep <= 1.0:
+            creep = _clamped_unit(creep, "creeping factor", s, a)
+        if not 0.0 <= under <= 1.0:
+            under = _clamped_unit(under, "undershoot factor", s, a)
+        rows.append((creep, under))
+    return rows
+
+
+def passage_factors(b: ScaleBasis, m: ModelParams, s: float, a: float) -> tuple[float, float]:
     """Discounted weights of reaching ``a`` from ``s``: by creep, touching
     ``a`` continuously, and by a jump landing strictly below it.
 
@@ -149,52 +175,35 @@ def passage_factors(
     out the eta_1 = 1 term: it is exactly zero, and summed, its roundoff
     residue would grow like e^x.  The constant collapses through
     sum c_i/eta_i = 1/r.  Without jumps the second event is impossible: its
-    factor is exactly 0 and only the creep sum is formed.
+    factor is exactly 0.  A factor is clamped only where it leaves [0, 1].
     """
-    if not (s >= a > 0.0):
-        raise DomainError(f"need s >= a > 0, got s={s}, a={a}")
-    x = math.log(s / a)
-    s2 = m.sigma2
-    creep = 0.0
-    if m.lam == 0.0:  # its own loop: grids and curves then pay no per-root jump test
-        for ei, ci in zip(b.eta[1:], b.c[1:]):
-            creep += ci * (ei - 1.0) * math.exp(ei * x)
-        return _clamped_unit(s2 / 2.0 * creep, "creeping factor"), 0.0
-    r = m.r
-    const = 1.0 - r * b.c[0] / b.eta[0]
-    acc = 0.0
-    for ei, ci in zip(b.eta[1:], b.c[1:]):
-        e = math.exp(ei * x)
-        creep += ci * (ei - 1.0) * e
-        const -= r * ci / ei
-        acc += ci * e * (r / ei - s2 * ei / 2.0 - r + s2 / 2.0)
-    return (
-        _clamped_unit(s2 / 2.0 * creep, "creeping factor"),
-        _clamped_unit(const + acc, "undershoot factor"),
-    )
+    return _passage_rows(b, m, ((s, a),))[0]
 
 
-def _value(m: ModelParams, c: Contract, a: float, creep: float, under: float) -> float:
-    """Value of stopping below ``a`` from its passage factors: creep lands
-    exactly at ``a`` and collects G(a); a jump lands below with the
-    memoryless undershoot law and collects the averaged payoff."""
-    return creep * g_payoff(m, c, a) + under * g_integral(m, c, a)
+def policy_values(b: ScaleBasis, m: ModelParams, c: Contract, points) -> list[float]:
+    """Value at spot ``s`` of stopping at the first passage below ``a``, for
+    each (s, a) in ``points``: the payoff itself for s < a, where the policy
+    stops at once, and from ``a`` up creep * G(a) + undershoot * G_bar(a), with
+    G_bar(a) the payoff's average under the memoryless undershoot, both formed
+    once for each run of equal ``a``.  A NaN spot or a threshold outside (0,
+    strike) raises :class:`DomainError`."""
+    points = list(points)
+    rows = iter(_passage_rows(b, m, [(s, a) for s, a in points if not s < a]))
+    values, a_run = [], math.nan
+    for s, a in points:
+        if a != a_run:  # g_integral refuses a threshold outside (0, strike)
+            a_run, g_bar, g = a, g_integral(m, c, a), g_payoff(m, c, a)
+        if s < a:
+            values.append(g_payoff(m, c, s))
+        else:
+            creep, under = next(rows)
+            values.append(creep * g + under * g_bar)
+    return values
 
 
-def value_at_threshold(
-    b: ScaleBasis, m: ModelParams, c: Contract, s: float, a: float
-) -> float:
-    """Value at spot ``s`` of stopping at the first passage below ``a``.
-
-    Strictly below the threshold the policy stops at once, so the value is
-    the payoff itself; from ``a`` up it is formed from the passage factors.
-    """
-    if not (0.0 < a < c.strike):
-        raise DomainError(f"threshold must lie in (0, strike), got a={a}")
-    if s < a:
-        return g_payoff(m, c, s)
-    creep, under = passage_factors(b, m, s, a)
-    return _value(m, c, a, creep, under)
+def value_at_threshold(b: ScaleBasis, m: ModelParams, c: Contract, s: float, a: float) -> float:
+    """:func:`policy_values` at one (s, a) pair."""
+    return policy_values(b, m, c, ((s, a),))[0]
 
 
 def optimal_threshold(b: ScaleBasis, m: ModelParams, c: Contract) -> float:
@@ -244,7 +253,7 @@ def price(b: ScaleBasis, m: ModelParams, c: Contract) -> PriceReport:
     if c.spot <= a_star:
         return PriceReport(a_star, g_payoff(m, c, c.spot), 1.0, 0.0, Region.EXERCISE)
     creep, under = passage_factors(b, m, c.spot, a_star)
-    value = _value(m, c, a_star, creep, under)
+    value = creep * g_payoff(m, c, a_star) + under * g_integral(m, c, a_star)
     return PriceReport(a_star, value, creep, under, Region.CONTINUATION)
 
 
@@ -277,8 +286,7 @@ def grid_search_threshold(
 
         values = [estimate_value(m, c, a, cfg).mean for a in grid]
     else:
-        basis = basis_for(m)
-        values = [value_at_threshold(basis, m, c, c.spot, a) for a in grid]
+        values = policy_values(basis_for(m), m, c, zip([c.spot] * len(grid), grid))
     return grid[values.index(max(values))], values
 
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from cancelput import cli
+from cancelput import cli, pricer
 from cancelput.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -345,8 +345,13 @@ def test_threshold_grid_min_above_max_exit_2(capsys):
     assert doc["error"]["type"] == "ConfigError"
 
 
-def test_threshold_grid_point_cap_exit_2(capsys):
-    # 1e-4 steps over (1, 99) would be about 980,000 points; the cap is 100,000.
+def test_threshold_grid_point_cap_exit_2(monkeypatch, capsys):
+    # 1e-4 steps over (1, 99) would be about 980,000 points; the cap is 100,000,
+    # and the grid is refused before any point is evaluated.
+    def evaluated(*_args):
+        raise AssertionError("grid search evaluated a point")
+
+    monkeypatch.setattr(pricer, "policy_values", evaluated)
     code, doc = run_json(
         ["threshold", *BASE, "--grid-min", "1", "--grid-max", "99", "--grid-step", "1e-4"],
         capsys,
@@ -447,7 +452,7 @@ def test_curve_too_many_points_exit_2(tmp_path, monkeypatch, capsys):
         raise AssertionError("curve evaluated a point")
 
     monkeypatch.setattr(cli, "optimal_threshold", evaluated)
-    monkeypatch.setattr(cli, "value_at_threshold", evaluated)
+    monkeypatch.setattr(cli, "policy_values", evaluated)
     code, doc = run_json(["curve", *BASE, "--smin", "30", "--smax", "60", "--points", "100001",
                           "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2 and doc["error"]["type"] == "ConfigError"

@@ -1,6 +1,7 @@
 """Closed-form pricing: payoff, passage factors, threshold, value, generator."""
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cancelput import pricer
 from cancelput.errors import (
     BranchError,
+    CancelPutError,
     DomainError,
     InconsistentBasis,
     InvalidParams,
@@ -32,10 +35,12 @@ from cancelput.pricer import (
     h_function,
     optimal_threshold,
     passage_factors,
+    policy_values,
     price,
     value_at_threshold,
 )
 from cancelput.scale import ScaleBasis, basis_for
+from test_domain import _draws
 
 REL = 1e-12
 
@@ -251,10 +256,11 @@ def test_threshold_mixed_sum_guard(model_jumps, contract):
 
 @pytest.mark.parametrize("raw, clamped", [(1.0 + 1e-9, 1.0), (-1e-9, 0.0)])
 def test_factor_outside_the_unit_interval_warns_and_clamps(raw, clamped):
-    with pytest.warns(NumericsWarning, match="left \\[0, 1\\]"):
-        assert _clamped_unit(raw, "creeping factor") == clamped
+    # The warning names the point, so a clamp inside a grid or a curve says where.
+    with pytest.warns(NumericsWarning, match="creeping factor at s=110.0, a=50.0 left \\[0, 1\\]"):
+        assert _clamped_unit(raw, "creeping factor", 110.0, 50.0) == clamped
     # Within the tolerance the clamp is silent (a NumericsWarning fails the suite).
-    assert _clamped_unit(clamped + (raw - clamped) / 100.0, "creeping factor") == clamped
+    assert _clamped_unit(clamped + (raw - clamped) / 100.0, "creeping factor", 110.0, 50.0) == clamped
 
 
 def test_threshold_sign_guard_survives_optimize_flag():
@@ -306,6 +312,107 @@ def test_value_dominates_payoff(model_jumps, contract):
     for s in np.geomspace(1.0, 500.0, 80):
         v = value_at_threshold(b, model_jumps, contract, float(s), A_STAR_JUMPS)
         assert v >= g_payoff(model_jumps, contract, float(s)) - 1e-9
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(math.nan, 60.0), (150.0, 100.0), (50.0, 120.0), (110.0, 0.0)],
+    ids=["nan-spot", "threshold-at-strike", "threshold-above-strike", "zero-threshold"],
+)
+def test_policy_values_guards_hold_mid_batch(model_jumps, contract, bad):
+    # Each guard of the one-point path holds for a point inside a batch: a NaN
+    # spot is refused, not priced as NaN, and so is a threshold outside (0, K).
+    b = basis_for(model_jumps)
+    good = [(110.0, 50.0), (40.0, 60.0)]
+    with pytest.raises(DomainError):
+        policy_values(b, model_jumps, contract, [*good, bad, *good])
+
+
+def test_policy_values_clamp_a_factor_mid_batch(model_nojump, contract):
+    # Doubled coefficients double the creeping factor, 2 (s/a)^-1/2 here: above
+    # 1 only for s/a < 4, so only the middle point is clamped, and its warning
+    # says where.
+    b = basis_for(model_nojump)
+    doubled = b._replace(c=tuple(2.0 * ci for ci in b.c))
+    g = g_payoff(model_nojump, contract, 50.0)
+    with pytest.warns(NumericsWarning, match="creeping factor at s=75.0, a=50.0 left") as seen:
+        values = policy_values(doubled, model_nojump, contract,
+                               [(450.0, 50.0), (75.0, 50.0), (800.0, 50.0)])
+    assert len(seen) == 1
+    assert values[1] == g
+    assert values[0] == pytest.approx(2.0 / 3.0 * g, rel=1e-14)
+    assert values[2] == pytest.approx(0.5 * g, rel=1e-14)
+
+
+def test_policy_values_form_the_payoff_once_per_run_of_equal_thresholds(
+    model_jumps, contract, monkeypatch
+):
+    b = basis_for(model_jumps)
+    points = [(110.0, 50.0), (120.0, 50.0), (110.0, 60.0), (40.0, 50.0), (110.0, 50.0)]
+    expected = [value_at_threshold(b, model_jumps, contract, s, a) for s, a in points]
+    formed = []
+
+    def spy(m, c, a, real=pricer.g_integral):
+        formed.append(a)
+        return real(m, c, a)
+
+    monkeypatch.setattr(pricer, "g_integral", spy)
+    assert policy_values(b, model_jumps, contract, points) == expected
+    # A threshold that returns after another is a new run: its payoffs are formed again.
+    assert formed == [50.0, 60.0, 50.0]
+
+
+def _one_point_value(b, m, c, s, a):
+    """V(s; a) for one point, the per-root sums written out plainly with each
+    product in the batch's operand order: the batch must equal it bit for bit."""
+    if not (0.0 < a < c.strike):
+        raise DomainError(a)
+    if s < a:
+        return g_payoff(m, c, s)
+    x = math.log(s / a)
+    s2 = m.sigma2
+    creep = 0.0
+    if m.lam == 0.0:
+        for ei, ci in zip(b.eta[1:], b.c[1:]):
+            creep += ci * (ei - 1.0) * math.exp(ei * x)
+        under = 0.0
+    else:
+        r = m.r
+        const = 1.0 - r * b.c[0] / b.eta[0]
+        acc = 0.0
+        for ei, ci in zip(b.eta[1:], b.c[1:]):
+            e = math.exp(ei * x)
+            creep += ci * (ei - 1.0) * e
+            const -= r * ci / ei
+            acc += ci * e * (r / ei - s2 * ei / 2.0 - r + s2 / 2.0)
+        under = min(1.0, max(0.0, const + acc))
+    creep = min(1.0, max(0.0, s2 / 2.0 * creep))
+    return creep * g_payoff(m, c, a) + under * g_integral(m, c, a)
+
+
+def test_policy_values_match_the_one_point_arithmetic_exactly():
+    # Over the priceable draws among the first 500 of the domain sweep, both
+    # ways a batch is used: one spot (s0 = a* (s0/a*), up to 1e80 a*) against
+    # many thresholds, and one threshold a* against many spots, on and next
+    # to a*, below it, and up to 1e80 a*.
+    checked = 0
+    for params, barrier_ratio, spot_ratio in itertools.islice(_draws(), 500):
+        try:
+            m = make_model(*params)
+            b = basis_for(m)
+            c = Contract(strike=100.0, barrier=100.0 * barrier_ratio, spot=100.0)
+            a_star = optimal_threshold(b, m, c)
+        except CancelPutError:
+            continue
+        s0 = a_star * spot_ratio
+        thresholds = [*(k / 20.0 * c.strike for k in range(1, 20)), a_star, a_star * (1.0 + 1e-12)]
+        thresholds = [a for a in thresholds if a < c.strike]
+        spots = [a_star * q for q in (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5, 10.0, 1e3, 1e20, 1e80)]
+        for points in ([(s0, a) for a in thresholds], [(s, a_star) for s in spots]):
+            got = policy_values(b, m, c, points)
+            assert got == [_one_point_value(b, m, c, s, a) for s, a in points], (params, points)
+        checked += 1
+    assert checked > 250
 
 
 def test_price_report(model_nojump, model_jumps, contract):
