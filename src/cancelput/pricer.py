@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 import warnings
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -130,16 +131,20 @@ def g_integral(m: ModelParams, c: Contract, a: float) -> float:
 
 def _clamped_unit(raw: float, label: str, s: float, a: float) -> float:
     if raw < -_CLAMP_TOL or raw > 1.0 + _CLAMP_TOL:
+        level = 1  # the warning names the first line outside this module
+        while sys._getframe(level).f_code.co_filename == __file__:
+            level += 1
         warnings.warn(
             f"{label} at s={s}, a={a} left [0, 1] by more than {_CLAMP_TOL} (raw {raw}); clamped",
             NumericsWarning,
-            stacklevel=4,
+            stacklevel=level + 1,
         )
     return min(1.0, max(0.0, raw))
 
 
-def _passage_rows(b: ScaleBasis, m: ModelParams, pairs) -> list[tuple[float, float]]:
-    """:func:`passage_factors` for each (s, a) in ``pairs``, each root's weights formed once."""
+def _passage_rows(b: ScaleBasis, m: ModelParams, pairs, c: Contract | None = None) -> list:
+    """:func:`passage_factors` for each (s, a) in ``pairs`` or, given a contract,
+    :func:`policy_values`, in one pass; each root's weights are formed once."""
     r, s2, jumps = m.r, m.sigma2, m.lam != 0.0  # no jumps: undershoot weights are 0
     const, terms = 1.0 - r * b.c[0] / b.eta[0] if jumps else 0.0, []
     for ei, ci in zip(b.eta[1:], b.c[1:]):
@@ -147,10 +152,21 @@ def _passage_rows(b: ScaleBasis, m: ModelParams, pairs) -> list[tuple[float, flo
             const -= r * ci / ei
         jump_weight = r / ei - s2 * ei / 2.0 - r + s2 / 2.0 if jumps else 0.0
         terms.append((ei, ci * (ei - 1.0), ci, jump_weight))
-    rows = []
+    if c is not None:
+        k, h, alpha, rho = c.strike, c.barrier, m.alpha, m.rho
+    rows, a_run = [], math.nan
     for s, a in pairs:
+        if c is not None and a != a_run:
+            if not (0.0 < a < k):
+                raise DomainError(f"threshold must lie in (0, strike), got a={a}")
+            a_run, p = a, (h / a) ** alpha
+            g = (k - a) * (1.0 if 1.0 < p else p)  # min(p, 1.0), as in g_payoff
+            g_bar = p * rho * (k / (rho - alpha) - a / (rho - alpha + 1.0)) if jumps else 0.0
         if not (s >= a > 0.0):
-            raise DomainError(f"need s >= a > 0, got s={s}, a={a}")
+            if c is not None and 0.0 < s < a:  # the policy stops at once: the payoff itself
+                rows.append((k - s) * min((h / s) ** alpha, 1.0))
+                continue
+            raise DomainError(f"need s >= a > 0 (or 0 < s < a for a value), got s={s}, a={a}")
         x = math.log(s / a)
         creep = acc = 0.0
         for ei, creep_weight, ci, jump_weight in terms:
@@ -162,7 +178,7 @@ def _passage_rows(b: ScaleBasis, m: ModelParams, pairs) -> list[tuple[float, flo
             creep = _clamped_unit(creep, "creeping factor", s, a)
         if not 0.0 <= under <= 1.0:
             under = _clamped_unit(under, "undershoot factor", s, a)
-        rows.append((creep, under))
+        rows.append(creep * g + under * g_bar if c is not None else (creep, under))
     return rows
 
 
@@ -185,20 +201,9 @@ def policy_values(b: ScaleBasis, m: ModelParams, c: Contract, points) -> list[fl
     each (s, a) in ``points``: the payoff itself for s < a, where the policy
     stops at once, and from ``a`` up creep * G(a) + undershoot * G_bar(a), with
     G_bar(a) the payoff's average under the memoryless undershoot, both formed
-    once for each run of equal ``a``.  A NaN spot or a threshold outside (0,
-    strike) raises :class:`DomainError`."""
-    points = list(points)
-    rows = iter(_passage_rows(b, m, [(s, a) for s, a in points if not s < a]))
-    values, a_run = [], math.nan
-    for s, a in points:
-        if a != a_run:  # g_integral refuses a threshold outside (0, strike)
-            a_run, g_bar, g = a, g_integral(m, c, a), g_payoff(m, c, a)
-        if s < a:
-            values.append(g_payoff(m, c, s))
-        else:
-            creep, under = next(rows)
-            values.append(creep * g + under * g_bar)
-    return values
+    once for each run of equal ``a``.  A spot that is NaN or not positive, or a
+    threshold outside (0, strike), raises :class:`DomainError`."""
+    return _passage_rows(b, m, points, c)
 
 
 def value_at_threshold(b: ScaleBasis, m: ModelParams, c: Contract, s: float, a: float) -> float:
@@ -269,13 +274,14 @@ def grid_search_threshold(
     estimated by simulation from the same seed, so the comparison rides on
     common random numbers and the argmax is not noise-dominated.
     """
-    grid = [float(a) for a in a_grid]
+    grid = list(map(float, a_grid))
     if not grid:
         raise ConfigError("threshold grid is empty")
-    if any(not (0.0 < a < c.strike) for a in grid):
-        raise ConfigError("threshold grid must lie inside (0, strike)")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("threshold grid must be strictly increasing")
+    for prev, a in zip([0.0, *grid], grid):  # one pass; a range error outranks an order error
+        if not (prev < a < c.strike):
+            if all(0.0 < b < c.strike for b in grid):
+                raise ConfigError("threshold grid must be strictly increasing")
+            raise ConfigError("threshold grid must lie inside (0, strike)")
 
     if cfg is not None:
         if grid[-1] >= c.spot:

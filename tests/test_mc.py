@@ -531,6 +531,10 @@ def test_grid_search_validation(model_jumps, contract):
             grid_search_threshold(model_jumps, contract, [50.0, 40.0], cfg)  # not increasing
         with pytest.raises(ConfigError):
             grid_search_threshold(model_jumps, contract, [50.0, 120.0], cfg)  # above strike
+        with pytest.raises(ConfigError, match="inside"):
+            grid_search_threshold(model_jumps, contract, [50.0, math.nan, 60.0], cfg)
+        with pytest.raises(ConfigError, match="inside"):  # the range error outranks the order error
+            grid_search_threshold(model_jumps, contract, [50.0, 40.0, 120.0], cfg)
 
 
 def test_simulated_grid_must_lie_below_the_spot(model_jumps, monkeypatch):

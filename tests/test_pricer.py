@@ -344,31 +344,49 @@ def test_policy_values_clamp_a_factor_mid_batch(model_nojump, contract):
     assert values[2] == pytest.approx(0.5 * g, rel=1e-14)
 
 
-def test_policy_values_form_the_payoff_once_per_run_of_equal_thresholds(
-    model_jumps, contract, monkeypatch
-):
+@pytest.mark.parametrize(
+    "entry",
+    ["policy_values", "passage_factors", "value_at_threshold", "price", "grid_search_threshold"],
+)
+def test_clamp_warning_names_the_callers_line(model_nojump, entry, monkeypatch):
+    # Every public closed-form entry point, however deep its path into the
+    # loop, points the warning at the line that called it.
+    b = basis_for(model_nojump)
+    doubled = b._replace(c=tuple(2.0 * ci for ci in b.c))
+    monkeypatch.setattr(pricer, "basis_for", lambda m: doubled)
+    c = Contract(strike=100.0, barrier=120.0, spot=75.0)
+    call = {
+        "policy_values": lambda: policy_values(doubled, model_nojump, c, [(75.0, 50.0)]),
+        "passage_factors": lambda: passage_factors(doubled, model_nojump, 75.0, 50.0),
+        "value_at_threshold": lambda: value_at_threshold(doubled, model_nojump, c, 75.0, 50.0),
+        "price": lambda: price(doubled, model_nojump, c),
+        "grid_search_threshold": lambda: pricer.grid_search_threshold(model_nojump, c, [50.0]),
+    }[entry]
+    with pytest.warns(NumericsWarning, match="creeping factor at s=75.0, a=50.0 left") as seen:
+        call()
+    assert [w.filename for w in seen] == [__file__]
+
+
+def test_policy_values_form_the_payoff_once_per_run_of_equal_thresholds(model_jumps, contract):
     b = basis_for(model_jumps)
-    points = [(110.0, 50.0), (120.0, 50.0), (110.0, 60.0), (40.0, 50.0), (110.0, 50.0)]
+    points = [(110.0, 50.0), (130.0, 50.0), (110.0, 60.0), (40.0, 50.0), (110.0, 50.0)]
     expected = [value_at_threshold(b, model_jumps, contract, s, a) for s, a in points]
-    formed = []
+    divisions = []
 
-    def spy(m, c, a, real=pricer.g_integral):
-        formed.append(a)
-        return real(m, c, a)
+    class Threshold(float):  # records x / a: G(a) and G_bar(a) are formed from h / a
+        def __rtruediv__(self, other):
+            divisions.append((other, float(self)))
+            return float(other) / float(self)
 
-    monkeypatch.setattr(pricer, "g_integral", spy)
+    points = [(s, Threshold(a)) for s, a in points]
     assert policy_values(b, model_jumps, contract, points) == expected
     # A threshold that returns after another is a new run: its payoffs are formed again.
-    assert formed == [50.0, 60.0, 50.0]
+    assert [a for x, a in divisions if x == contract.barrier] == [50.0, 60.0, 50.0]
 
 
-def _one_point_value(b, m, c, s, a):
-    """V(s; a) for one point, the per-root sums written out plainly with each
-    product in the batch's operand order: the batch must equal it bit for bit."""
-    if not (0.0 < a < c.strike):
-        raise DomainError(a)
-    if s < a:
-        return g_payoff(m, c, s)
+def _one_point_factors(b, m, s, a):
+    """(creep, under) for one s >= a, the per-root sums written out plainly with
+    each product in the loop's operand order: the loop must equal it bit for bit."""
     x = math.log(s / a)
     s2 = m.sigma2
     creep = 0.0
@@ -386,7 +404,16 @@ def _one_point_value(b, m, c, s, a):
             const -= r * ci / ei
             acc += ci * e * (r / ei - s2 * ei / 2.0 - r + s2 / 2.0)
         under = min(1.0, max(0.0, const + acc))
-    creep = min(1.0, max(0.0, s2 / 2.0 * creep))
+    return min(1.0, max(0.0, s2 / 2.0 * creep)), under
+
+
+def _one_point_value(b, m, c, s, a):
+    """V(s; a) for one point from :func:`_one_point_factors` and the payoff functions."""
+    if not (0.0 < a < c.strike):
+        raise DomainError(a)
+    if s < a:
+        return g_payoff(m, c, s)
+    creep, under = _one_point_factors(b, m, s, a)
     return creep * g_payoff(m, c, a) + under * g_integral(m, c, a)
 
 
@@ -411,6 +438,15 @@ def test_policy_values_match_the_one_point_arithmetic_exactly():
         for points in ([(s0, a) for a in thresholds], [(s, a_star) for s in spots]):
             got = policy_values(b, m, c, points)
             assert got == [_one_point_value(b, m, c, s, a) for s, a in points], (params, points)
+            factors = [(s, a) for s, a in points if s >= a]
+            assert [passage_factors(b, m, s, a) for s, a in factors] == [
+                _one_point_factors(b, m, s, a) for s, a in factors
+            ], (params, points)
+        # The quote's spot 100 lies above a* < K = 100: its factors and value.
+        rep = price(b, m, c)
+        factors = _one_point_factors(b, m, c.spot, a_star)
+        assert (rep.creeping_factor, rep.undershoot_factor) == factors, params
+        assert rep.value == _one_point_value(b, m, c, c.spot, a_star), params
         checked += 1
     assert checked > 250
 
