@@ -5,7 +5,6 @@ exponential jumps.  Closed forms throughout, with a Monte Carlo oracle."""
 import importlib
 
 from .errors import (
-    BranchError,
     CancelPutError,
     ConfigError,
     DegenerateCancellation,
@@ -15,20 +14,16 @@ from .errors import (
     InvalidParams,
     NumericsWarning,
     PoleError,
-    QuadratureFailure,
     ThresholdOutOfRange,
 )
 from .model import ModelParams, laplace_exponent, make_model
 from .scale import ScaleBasis, basis_for, w_r, z_r
 from .pricer import (
-    BsReference,
     Contract,
     PriceReport,
     Region,
-    bs_reference,
     g_integral,
     g_payoff,
-    generator_apply,
     grid_search_threshold,
     h_function,
     optimal_threshold,
@@ -38,7 +33,7 @@ from .pricer import (
     value_at_threshold,
 )
 
-# These resolve on first access (PEP 562): the Monte Carlo layer needs numpy,
+# These resolve on first access (PEP 562): the Monte Carlo layer needs NumPy,
 # and the diagnostics, which do not, would cost import time to load.  Importing
 # the package and quoting stay on the standard library and cheap.
 _LAZY = {
@@ -70,8 +65,6 @@ def __dir__() -> list[str]:
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchError",
-    "BsReference",
     "CancelPutError",
     "CheckResult",
     "ConfigError",
@@ -89,18 +82,15 @@ __all__ = [
     "PoleError",
     "PolicyPaths",
     "PriceReport",
-    "QuadratureFailure",
     "Region",
     "ScaleBasis",
     "ThresholdOutOfRange",
     "analytic_suite",
     "basis_for",
-    "bs_reference",
     "estimate_discounted_terminal",
     "estimate_value",
     "g_integral",
     "g_payoff",
-    "generator_apply",
     "grid_search_threshold",
     "h_function",
     "laplace_exponent",

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from .model import ModelParams, laplace_exponent
 from .pricer import (
     Contract,
-    bs_reference,
     g_integral,
     g_payoff,
     h_function,
@@ -171,8 +170,9 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
     out.append(_check("generator identity", worst_gen, 1e-13))
 
     if m.lam == 0.0:
-        ref = bs_reference(m, c)
         eta2 = b.eta[1]
+        # The plain perpetual put (no cancellation) at the spot: the textbook power solution.
+        plain_put = -(1.0 / eta2) * (k / (1.0 - 1.0 / eta2)) ** (1.0 - eta2) * c.spot**eta2
         worst_w = 0.0
         for x in _linspace(0.0, 5.0, 101):
             known = (math.exp(x) - math.exp(eta2 * x)) / (m.sigma2 / 2.0 * (1.0 - eta2))
@@ -183,10 +183,10 @@ def analytic_suite(m: ModelParams, c: Contract) -> list[CheckResult]:
         worst_rel = 0.0
         spots = _geomspace(0.2 * a_star, 3.0 * c.barrier, 100)
         for s, v in zip(spots, policy_values(b, m, c, zip(spots, [a_star] * len(spots)))):
-            plain = ref.plain_put * (c.spot / s) ** -eta2
+            plain = plain_put * (c.spot / s) ** -eta2
             worst_rel = max(worst_rel, v - plain)
         out.append(
-            _check("cancellable never exceeds the plain put", worst_rel, 1e-12, f"plain at spot: {ref.plain_put:.4f}")
+            _check("cancellable never exceeds the plain put", worst_rel, 1e-12, f"plain at spot: {plain_put:.4f}")
         )
 
     return out

@@ -35,14 +35,6 @@ class InconsistentBasis(CancelPutError):
     """Scale-basis coefficients break the sign conditions the closed-form threshold needs."""
 
 
-class BranchError(CancelPutError):
-    """Requested branch does not match the model's jump intensity."""
-
-
-class QuadratureFailure(CancelPutError):
-    """Numerical integration failed to converge to the requested accuracy."""
-
-
 class ConfigError(CancelPutError):
     """A flag, config file, grid, curve or simulation setting violates a precondition."""
 

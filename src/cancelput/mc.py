@@ -364,7 +364,10 @@ def simulate_paths(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> Poli
     last visit); survival mode leaves the weight to the closed form.
     """
     if not (0.0 < a < min(c.strike, c.spot)):
-        raise ConfigError(f"threshold must lie in (0, min(strike, spot)), got a={a}")
+        raise ConfigError(
+            f"threshold must lie in (0, min(strike, spot)), got a={a} with strike={c.strike}, "
+            f"spot={c.spot}" + (": the spot is at or below the threshold" if c.spot <= a else "")
+        )
     if cfg.horizon < 10.0 / m.r:
         raise ConfigError(
             f"horizon {cfg.horizon} too short: need >= 10/r = {10.0 / m.r:g} "

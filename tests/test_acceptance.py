@@ -26,9 +26,7 @@ from cancelput.mc import (
 from cancelput.model import laplace_exponent, make_model
 from cancelput.pricer import (
     Contract,
-    bs_reference,
     g_payoff,
-    generator_apply,
     grid_search_threshold,
     h_function,
     optimal_threshold,
@@ -36,6 +34,7 @@ from cancelput.pricer import (
     value_at_threshold,
 )
 from cancelput.scale import basis_for, w_r
+from oracles import bs_reference, generator_apply
 
 C = Contract(strike=100.0, barrier=120.0, spot=110.0)
 

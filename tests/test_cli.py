@@ -505,6 +505,19 @@ def test_simulate_requires_seed(tmp_path, capsys):
     assert "seed" in doc["error"]["message"]
 
 
+def test_simulation_from_a_spot_at_or_below_the_threshold_exit_2(tmp_path, capsys):
+    # At spot 40 the jump set's a* = 63.18 lies above the spot: every path
+    # would stop at once, and the refusal names the spot the user gave.
+    out = tmp_path / "paths.csv"
+    low = [*JUMPS[:-1], "40", "--paths", "100", "--seed", "3"]
+    for argv in (["simulate", *low, "--out", str(out)], ["validate", *low, "--suite", "mc"],
+                 ["validate", *low, "--suite", "all"]):
+        code, doc = run_json(argv, capsys)
+        assert code == 2 and doc["error"]["type"] == "ConfigError"
+        assert "spot=40.0: the spot is at or below the threshold" in doc["error"]["message"]
+    assert not out.exists()
+
+
 def test_simulate_deterministic_across_workers(tmp_path, capsys):
     a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
     base = ["simulate", *JUMPS, "--paths", "200", "--seed", "33"]
@@ -981,3 +994,16 @@ def test_console_script_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["a_star"] == 50.0
+
+
+def test_readme_quick_start_prints_what_it_shows(capsys):
+    # The README's first Python block ends in '# ...' lines: what it prints.
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as f:
+        block = f.read().split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    shown = []
+    while lines[-1].startswith("# "):
+        shown.insert(0, lines.pop()[2:])
+    assert shown
+    exec("\n".join(lines), {})
+    assert capsys.readouterr().out.splitlines() == shown

@@ -57,3 +57,53 @@ def test_the_scan_sees_every_form_of_private_import():
     assert sorted(_private_imports(source)) == [
         "3: model._psi", "4: mc._tilt", "6: ._scale", "8: scale._roots"
     ]
+
+
+#: Where numpy may be imported: the Monte Carlo layer, and the one suite that
+#: runs it.  Everything else, the closed form first, runs on plain floats.
+NUMPY_SCOPES = {"mc.py": {"<module>"}, "diagnostics.py": {"mc_suite"}}
+
+
+def _numpy_imports(source: str) -> list[str]:
+    """'line: scope' for each import of numpy or a submodule of it in
+    ``source``; the scope is the enclosing function, or '<module>'."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                found.append(f"{child.lineno}: {scope}")
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_imported_only_by_the_monte_carlo_layer(path):
+    allowed = NUMPY_SCOPES.get(path.name, set())
+    found = _numpy_imports(path.read_text(encoding="utf-8"))
+    assert [f for f in found if f.split(": ", 1)[1] not in allowed] == []
+
+
+def test_the_scan_sees_every_form_of_numpy_import():
+    source = (
+        "import numpy as np\n"
+        "import numpyro, math\n"
+        "from numpy.polynomial import laguerre\n"
+        "from .numpy import x\n"
+        "class K:\n"
+        "    def f(self):\n"
+        "        import math, numpy.random\n"
+        "def g():\n"
+        "    if True:\n"
+        "        from numpy import exp\n"
+    )
+    assert _numpy_imports(source) == ["1: <module>", "3: <module>", "7: f", "10: g"]

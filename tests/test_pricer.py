@@ -14,13 +14,11 @@ from scipy.integrate import quad
 
 from cancelput import pricer
 from cancelput.errors import (
-    BranchError,
     CancelPutError,
     DomainError,
     InconsistentBasis,
     InvalidParams,
     NumericsWarning,
-    QuadratureFailure,
     ThresholdOutOfRange,
 )
 from cancelput.model import ModelParams, laplace_exponent, make_model
@@ -28,10 +26,8 @@ from cancelput.pricer import (
     Contract,
     Region,
     _clamped_unit,
-    bs_reference,
     g_integral,
     g_payoff,
-    generator_apply,
     h_function,
     optimal_threshold,
     passage_factors,
@@ -40,6 +36,7 @@ from cancelput.pricer import (
     value_at_threshold,
 )
 from cancelput.scale import ScaleBasis, basis_for
+from oracles import BranchError, QuadratureFailure, bs_reference, generator_apply
 from test_domain import _draws
 
 REL = 1e-12
@@ -86,6 +83,8 @@ def test_payoff_values(model_nojump, contract):
         g_payoff(m, c, 0.0)
     with pytest.raises(DomainError):
         g_payoff(m, c, -3.0)
+    with pytest.raises(DomainError):
+        g_payoff(m, c, math.nan)
 
 
 def test_payoff_below_plain_put(model_jumps, contract):
