@@ -261,12 +261,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ConfigError(f"need 2 to {_GRID_MAX_POINTS} points, got {args.points}")
     basis = basis_for(model)
     a_star = optimal_threshold(basis, model, contract)
-    points = []
-    for i in range(args.points):
-        points.append((args.smin + (args.smax - args.smin) * i / (args.points - 1), a_star))
+    n, lo, span = args.points, args.smin, args.smax - args.smin
+    spots = [lo + span * i / (n - 1) for i in range(n)]
+    values = policy_values(basis, model, contract, zip(spots, [a_star] * n))
     rows = ["s,payoff,value"]
-    for (s, _), val in zip(points, policy_values(basis, model, contract, points)):
-        rows.append(f"{s:.12g},{g_payoff(model, contract, s):.12g},{val:.12g}")
+    rows += ["%.12g,%.12g,%.12g" % (s, g_payoff(model, contract, s), v)
+             for s, v in zip(spots, values)]
     return _write_rows(args.out, rows)
 
 
@@ -275,11 +275,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     model, contract = _build_model_contract(args)
     cfg = _build_mc_config(args, model.r, simulates=args.suite != "analytic")
-    results = []
-    if args.suite in ("analytic", "all"):
-        results.extend(analytic_suite(model, contract))
-    if cfg is not None:
-        results.extend(mc_suite(model, contract, cfg))
+    # The MC suite runs first, so inputs it refuses cost no analytic work;
+    # the analytic rows still print first.
+    mc_results = [] if cfg is None else mc_suite(model, contract, cfg)
+    results = [] if args.suite == "mc" else analytic_suite(model, contract)
+    results += mc_results
 
     width = max(len(res.name) for res in results)
     for res in results:

@@ -91,7 +91,7 @@ def make_model(r: float, sigma2: float, lam: float, rho: float) -> ModelParams:
 
     if not (-1.0 < alpha < 0.0):
         raise DegenerateCancellation(f"cancellation exponent {alpha} escaped (-1, 0)")
-    return ModelParams(r=r, sigma2=sigma2, lam=lam, rho=rho, mu=mu, alpha=alpha)
+    return ModelParams(r, sigma2, lam, rho, mu, alpha)
 
 
 def laplace_exponent(model: ModelParams, theta: float) -> float:

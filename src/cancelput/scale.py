@@ -45,25 +45,22 @@ def _partial_fraction_weights(
     """Coefficients C_i = 2 offsets_i / (sigma2 * prod_{j!=i}(eta_i - eta_j)).
 
     ``offsets`` holds eta_i + rho, passed in because near the pole it cannot
-    be formed from eta_i.  Pure helper so degenerate inputs can be exercised
-    directly in tests; the quadratic-factor discriminant is strictly
-    positive for every parameter set that passes model validation, which
-    makes the coincident case unreachable through the public constructor.
+    be formed from eta_i.  Each denominator is (sigma2/2) times the root's
+    two gaps, in index order.  The pairs are checked as (0, 1), (0, 2),
+    (1, 2); the first whose gap is within ``_ROOT_SEP_TOL`` raises.  Pure
+    helper so degenerate inputs can be exercised directly in tests; the
+    quadratic-factor discriminant is strictly positive for every parameter
+    set that passes model validation, which makes the coincident case
+    unreachable through the public constructor.
     """
-    out = []
-    for i, ei in enumerate(etas):
-        denom = sigma2 / 2.0
-        for j, ej in enumerate(etas):
-            if j == i:
-                continue
-            gap = ei - ej
-            if abs(gap) <= _ROOT_SEP_TOL:
-                raise DegenerateRoots(
-                    f"roots {ei} and {ej} coincide within {_ROOT_SEP_TOL}"
-                )
-            denom *= gap
-        out.append(offsets[i] / denom)
-    return tuple(out)
+    (e0, e1, e2), tol = etas, _ROOT_SEP_TOL
+    d01, d02, d12 = e0 - e1, e0 - e2, e1 - e2
+    if abs(d01) <= tol or abs(d02) <= tol or abs(d12) <= tol:
+        ei, ej = (e0, e1) if abs(d01) <= tol else (e0, e2) if abs(d02) <= tol else (e1, e2)
+        raise DegenerateRoots(f"roots {ei} and {ej} coincide within {tol}")
+    half = sigma2 / 2.0
+    return (offsets[0] / (half * d01 * d02), offsets[1] / (half * -d01 * d12),
+            offsets[2] / (half * -d02 * -d12))
 
 
 def basis_for(m: ModelParams) -> ScaleBasis:
@@ -82,16 +79,17 @@ def basis_for(m: ModelParams) -> ScaleBasis:
     and the upper one comes from the root product 2*r*rho/s2.  The offsets
     from the jump pole, eta + rho = (-a - D)/s2 and (-a + D)/s2, multiply to
     Q(-rho)*2/s2 = -2*rho*j/s2 < 0: one root lies each side of -rho.  The
-    offset that adds like signs is formed directly, the one next to the pole
-    from that product.  The offsets are the partial-fraction numerators, and
-    their signs are the layout check, which holds even where the near root
-    rounds onto -rho.
+    offset that adds like signs, -q/s2 with q = a + sign(a) D, is formed
+    directly, the one next to the pole from that product; q's sign says
+    which is the lower.  The offsets are the partial-fraction numerators,
+    and their signs are the layout check, which holds even where the near
+    root rounds onto -rho.
     """
     s2, r = m.sigma2, m.r
     if m.lam == 0.0:
         eta2 = -2.0 * r / s2
         c1 = 1.0 / ((s2 / 2.0) * (1.0 - eta2))
-        return ScaleBasis(eta=(1.0, eta2), c=(c1, -c1))
+        return ScaleBasis((1.0, eta2), (c1, -c1))
 
     j = m.lam / (1.0 + m.rho)
     half = s2 * m.rho / 2.0
@@ -100,7 +98,8 @@ def basis_for(m: ModelParams) -> ScaleBasis:
     b_plus_d = r + j + half + disc
     eta_lo, eta_hi = -b_plus_d / s2, -2.0 * r * m.rho / b_plus_d
     q = a + math.copysign(disc, a)
-    off_lo, off_hi = sorted((-q / s2, 2.0 * m.rho * j / q))
+    off_q, off_prod = -q / s2, 2.0 * m.rho * j / q
+    off_lo, off_hi = (off_q, off_prod) if q > 0.0 else (off_prod, off_q)
     if not (-math.inf < off_lo < 0.0 < off_hi and eta_hi < 0.0):
         raise DegenerateRoots(
             f"negative roots {eta_lo}, {eta_hi} are not finite and one each side "
@@ -109,7 +108,7 @@ def basis_for(m: ModelParams) -> ScaleBasis:
 
     etas = (1.0, eta_lo, eta_hi)
     coeffs = _partial_fraction_weights(etas, (1.0 + m.rho, off_lo, off_hi), s2)
-    return ScaleBasis(eta=etas, c=coeffs)
+    return ScaleBasis(etas, coeffs)
 
 
 def _in_range(name: str, x: float, evaluate) -> float:

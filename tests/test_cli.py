@@ -518,6 +518,20 @@ def test_simulation_from_a_spot_at_or_below_the_threshold_exit_2(tmp_path, capsy
     assert not out.exists()
 
 
+def test_validate_all_refuses_a_low_spot_before_the_analytic_suite(capsys, monkeypatch):
+    # The MC suite runs first: its refusal of spot 40 < a* = 63.18 comes
+    # before any analytic check is computed, and stdout holds only the error.
+    from cancelput import diagnostics
+
+    def not_reached(*_args):
+        raise AssertionError("analytic_suite ran for inputs the MC suite refuses")
+
+    monkeypatch.setattr(diagnostics, "analytic_suite", not_reached)
+    low = [*JUMPS[:-1], "40", "--paths", "100", "--seed", "3"]
+    code, doc = run_json(["validate", *low, "--suite", "all"], capsys)
+    assert code == 2 and list(doc) == ["error"] and doc["error"]["type"] == "ConfigError"
+
+
 def test_simulate_deterministic_across_workers(tmp_path, capsys):
     a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
     base = ["simulate", *JUMPS, "--paths", "200", "--seed", "33"]

@@ -14,6 +14,7 @@ import pytest
 import cancelput
 
 PACKAGE = Path(cancelput.__file__).parent
+TESTS = Path(__file__).parent
 SHARED = "_record"
 
 
@@ -107,3 +108,14 @@ def test_the_scan_sees_every_form_of_numpy_import():
         "        from numpy import exp\n"
     )
     assert _numpy_imports(source) == ["1: <module>", "3: <module>", "7: f", "10: g"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_source_parses_as_python_3_10(path):
+    # pyproject.toml promises requires-python >= 3.10; a newer interpreter
+    # would accept syntax that 3.10 rejects.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

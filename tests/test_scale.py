@@ -2,16 +2,20 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import cancelput
-from cancelput.errors import DegenerateRoots, DomainError
+from cancelput.errors import CancelPutError, DegenerateRoots, DomainError
 from cancelput.model import laplace_exponent, make_model
 from cancelput.pricer import Contract, price
-from cancelput.scale import _partial_fraction_weights, basis_for, w_integral, w_r, z_r
+from cancelput.scale import (
+    ScaleBasis, _partial_fraction_weights, basis_for, w_integral, w_r, z_r,
+)
+from test_domain import _draws
 
 REL = 1e-12
 
@@ -153,6 +157,82 @@ def test_small_lambda_limit_recovers_diffusion_basis(lam):
 def test_coincident_roots_rejected():
     with pytest.raises(DegenerateRoots):
         _partial_fraction_weights((1.0, -2.0, -2.0 + 5e-11), (3.0, 0.0, 5e-11), 0.2)
+
+
+@pytest.mark.parametrize(
+    "etas,pair",
+    [
+        ((1.0, 1.0 + 5e-11, -2.0), (1.0, 1.0 + 5e-11)),
+        ((1.0, -2.0, 1.0 - 5e-11), (1.0, 1.0 - 5e-11)),
+        ((1.0, -2.0, -2.0 + 5e-11), (-2.0, -2.0 + 5e-11)),
+        # More than one pair coincides: they are checked (0, 1), (0, 2), (1, 2).
+        ((1.0, 1.0 + 5e-11, 1.0 - 5e-11), (1.0, 1.0 + 5e-11)),
+        ((1.0, 1.0 - 1.8e-10, 1.0 - 0.9e-10), (1.0, 1.0 - 0.9e-10)),
+    ],
+    ids=["0-1", "0-2", "1-2", "0-1-first", "0-2-first"],
+)
+def test_coincident_roots_error_names_the_pair(etas, pair):
+    with pytest.raises(DegenerateRoots, match=re.escape(f"roots {pair[0]} and {pair[1]} coincide")):
+        _partial_fraction_weights(etas, (3.0, -1.0, 1.0), 0.2)
+
+
+def _loop_weights(etas, offsets, sigma2):
+    """Reference partial fractions: a generic loop over any number of roots."""
+    out = []
+    for i, ei in enumerate(etas):
+        denom = sigma2 / 2.0
+        for j, ej in enumerate(etas):
+            if j == i:
+                continue
+            gap = ei - ej
+            if abs(gap) <= 1e-10:
+                raise DegenerateRoots(f"roots {ei} and {ej} coincide within 1e-10")
+            denom *= gap
+        out.append(offsets[i] / denom)
+    return tuple(out)
+
+
+def _reference_jump_basis(m):
+    """basis_for's jump branch with the pole offsets ordered by ``sorted`` and
+    the weights from :func:`_loop_weights`; None where the layout check fails."""
+    s2, r = m.sigma2, m.r
+    j = m.lam / (1.0 + m.rho)
+    half = s2 * m.rho / 2.0
+    a = r + j - half
+    disc = math.hypot(a, math.sqrt(2.0 * s2 * m.rho * j))
+    b_plus_d = r + j + half + disc
+    eta_lo, eta_hi = -b_plus_d / s2, -2.0 * r * m.rho / b_plus_d
+    q = a + math.copysign(disc, a)
+    off_lo, off_hi = sorted((-q / s2, 2.0 * m.rho * j / q))
+    if not (-math.inf < off_lo < 0.0 < off_hi and eta_hi < 0.0):
+        return None
+    etas = (1.0, eta_lo, eta_hi)
+    return ScaleBasis(etas, _loop_weights(etas, (1.0 + m.rho, off_lo, off_hi), s2))
+
+
+def test_jump_basis_equals_the_loop_reference_across_the_box():
+    # Exact equality, draw by draw: the closed-form weights form the same
+    # products in the same order as the loop, and the offsets' order by the
+    # sign of q is the one sorted() gives.  The box reaches both signs of
+    # a = r + j - sigma2 rho/2, so both orders of the offsets are exercised.
+    signs = set()
+    compared = 0
+    for params, _, _ in _draws():
+        try:
+            m = make_model(*params)
+        except CancelPutError:
+            continue
+        if m.lam == 0.0:
+            continue
+        want = _reference_jump_basis(m)
+        if want is None:
+            with pytest.raises(DegenerateRoots):
+                basis_for(m)
+            continue
+        assert basis_for(m) == want, params
+        signs.add(math.copysign(1.0, m.r + m.lam / (1.0 + m.rho) - m.sigma2 * m.rho / 2.0))
+        compared += 1
+    assert signs == {-1.0, 1.0} and compared > 500
 
 
 def test_no_overflow_far_from_origin(model_jumps):
