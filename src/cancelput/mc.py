@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,12 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_paths", "seed", "workers"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.n_paths < 100:
             raise ConfigError(f"need at least 100 paths, got {self.n_paths}")
         if not (0.0 < self.horizon < math.inf):

@@ -201,36 +201,23 @@ def value_at_threshold(b: ScaleBasis, m: ModelParams, c: Contract, s: float, a: 
 def optimal_threshold(b: ScaleBasis, m: ModelParams, c: Contract) -> float:
     """Exercise threshold maximizing the stop-below-``a`` value.
 
-    From the first-order condition in closed form.  Without jumps it
-    reduces to the classic two-exponent ratio; with jumps the negative
-    exponents enter through the two sums below.  The side conditions on
-    the signs of the coefficients are the model's own consistency guards;
-    a basis that breaks them raises :class:`InconsistentBasis`.
+    From the first-order condition, which each negative exponent meets by
+    itself; this reads the lower one, e (-2r/s2 without jumps):
+    a* = K (e + alpha)/(e + alpha - 1), times (rho - alpha + 1)/(rho - alpha)
+    * (s2 alpha e/2 + r rho)/(r rho - s2 (1 - alpha) e/2) with jumps.  As
+    e, alpha < 0 < r, rho, each sum adds like signs, so nothing cancels, and
+    each ratio is formed before the product, so nothing overflows.  A basis
+    that breaks these signs raises :class:`InconsistentBasis`.
     """
-    k = c.strike
-    alpha = m.alpha
-    if m.lam == 0.0:
-        eta2 = b.eta[1]
-        a_star = k * (eta2 + alpha) / (eta2 + alpha - 1.0)
-    else:
+    k, alpha, e = c.strike, m.alpha, b.eta[1]
+    if not (e < 0.0 and b.c[1] < 0.0 and b.c[-1] < 0.0):
+        raise InconsistentBasis(f"threshold needs a negative root with negative coefficients, got {b}")
+    a_star = k * (e + alpha) / (e + alpha - 1.0)
+    if m.lam != 0.0:
         s2, r, rho = m.sigma2, m.r, m.rho
-        if not (b.c[1] < 0.0 and b.c[2] < 0.0):
-            raise InconsistentBasis(
-                f"negative-exponent coefficients must be negative, got {b.c[1:]}"
-            )
-        # (s2/2) sum c_i eta_i (eta_i - 1), the weights of W'' at 0+, scaled
-        # term by term: for tiny s2 the low root is of order -1/s2, and its
-        # square would overflow before the scaling.
-        wpp = 0.0
-        sum_mix = 0.0  # mixed discount sum, positive in the valid regime
-        for ei, ci in zip(b.eta[1:], b.c[1:]):
-            wpp += (s2 / 2.0) * ci * ei * (ei - 1.0)
-            sum_mix += ci * ei * (r * (1.0 / ei - 1.0) - (s2 / 2.0) * (ei - 1.0))
-        if not (sum_mix > 0.0):
-            raise InconsistentBasis(f"mixed discount sum must be positive, got {sum_mix}")
-        num = wpp + alpha + rho / (rho - alpha) * sum_mix
-        den = wpp - (1.0 - alpha) + rho / (rho - alpha + 1.0) * sum_mix
-        a_star = k * num / den
+        a_star *= (rho - alpha + 1.0) / (rho - alpha) * (
+            (s2 * alpha * e / 2.0 + r * rho) / (r * rho - s2 * (1.0 - alpha) * e / 2.0)
+        )
     if not (0.0 < a_star < k):
         raise ThresholdOutOfRange(
             f"closed-form threshold {a_star} escaped (0, {k}); parameters "

@@ -1,12 +1,13 @@
-"""Root accuracy across the documented parameter domain, against mpmath,
-and the analytic suite's verdicts over the same draws.
+"""Root and threshold accuracy across the documented parameter domain,
+against mpmath, and the analytic suite's verdicts over the same draws.
 
 The box is r in [1e-4, 0.5], sigma2 in [1e-8, 2], lambda = 0 (one draw in
 five) or lambda in [1e-7, 50], rho in [1e-5, 50], K = 100, h/K in
 [1.0001, 3] and s0/a* in [1, 1e80], every range drawn log-uniformly.  The
 oracle below solves the same quadratics in 60-digit arithmetic from the
-float inputs and the exact martingale drift; it shares no code with the
-package.
+float inputs and the exact martingale drift, and forms a* from the
+first-order condition summed over both negative roots; it shares no code
+with the package.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ ROOT_REL = 1e-12
 ETA_REL = 1e-14
 COEF_REL = 1e-13
 ETA2_ULPS = 4.0
+ASTAR_REL = 3e-15
+STRIKE = 100.0
 
 
 def _oracle(r, sigma2, lam, rho):
@@ -62,6 +65,29 @@ def _oracle(r, sigma2, lam, rho):
         return alpha, negative, coeffs
 
 
+def _threshold_oracle(r, sigma2, lam, rho, alpha, negative, coeffs):
+    """a* for strike STRIKE in 60-digit arithmetic, over _oracle's output.
+
+    Without jumps K(eta2 + alpha)/(eta2 + alpha - 1).  With jumps the
+    first-order condition summed over the negative roots: K num/den with
+    num = W2 + alpha + rho/(rho - alpha) M, den = W2 - (1 - alpha) +
+    rho/(rho - alpha + 1) M, W2 = (s2/2) sum c eta (eta - 1) and
+    M = sum c eta (r (1/eta - 1) - (s2/2)(eta - 1)).
+    """
+    with mpmath.workdps(60):
+        k = mpmath.mpf(STRIKE)
+        if lam == 0:
+            eta2 = negative[0]
+            return k * (eta2 + alpha) / (eta2 + alpha - 1)
+        r, half, rho = mpmath.mpf(r), mpmath.mpf(sigma2) / 2, mpmath.mpf(rho)
+        pairs = list(zip(negative, coeffs[1:]))
+        w2 = sum(half * c * e * (e - 1) for e, c in pairs)
+        mix = sum(c * e * (r * (1 / e - 1) - half * (e - 1)) for e, c in pairs)
+        num = w2 + alpha + rho / (rho - alpha) * mix
+        den = w2 - (1 - alpha) + rho / (rho - alpha + 1) * mix
+        return k * num / den
+
+
 def _rel(x, ref):
     return float(abs((mpmath.mpf(x) - ref) / ref))
 
@@ -80,9 +106,9 @@ def _draws():
 
 
 def _root_errors(params):
-    """Relative errors of alpha, the jump exponents and the coefficients,
-    and the distance of the jump-free second exponent from the oracle's in
-    ulps."""
+    """Relative errors of alpha, the jump exponents, the coefficients and
+    a*, and the distance of the jump-free second exponent from the oracle's
+    in ulps."""
     m = make_model(*params)
     b = basis_for(m)
     alpha, negative, coeffs = _oracle(*params)
@@ -90,6 +116,8 @@ def _root_errors(params):
     errors = {
         "alpha": _rel(m.alpha, alpha),
         "c": max(_rel(c, ref) for c, ref in zip(b.c, coeffs)),
+        "a_star": _rel(optimal_threshold(b, m, Contract(STRIKE, 2.0 * STRIKE, STRIKE)),
+                       _threshold_oracle(*params, alpha, negative, coeffs)),
     }
     if m.lam == 0.0:
         errors["eta2_ulps"] = float(abs(b.eta[1] - negative[0]) / math.ulp(b.eta[1]))
@@ -102,6 +130,7 @@ def _within_bounds(errors):
     return (
         errors["alpha"] <= ROOT_REL
         and errors["c"] <= COEF_REL
+        and errors["a_star"] <= ASTAR_REL
         and errors.get("eta", 0.0) <= ETA_REL
         and errors.get("eta2_ulps", 0.0) <= ETA2_ULPS
     )
@@ -139,7 +168,7 @@ def test_roots_match_the_oracle_on_named_sets(params):
 
 
 def test_roots_match_the_oracle_across_the_box():
-    worst = {"alpha": 0.0, "c": 0.0, "eta": 0.0, "eta2_ulps": 0.0}
+    worst = {"alpha": 0.0, "c": 0.0, "a_star": 0.0, "eta": 0.0, "eta2_ulps": 0.0}
     outcomes = {"priced": 0, "refused": 0}
     for params, barrier_ratio, spot_ratio in _draws():
         try:

@@ -97,6 +97,16 @@ def test_config_validation(kw):
         _cfg(**kw)
 
 
+@pytest.mark.parametrize("kw", [dict(n_paths=150.7), dict(seed=3.9), dict(workers=1.5),
+                                dict(seed="3"), dict(n_paths=None)])
+def test_config_counts_must_be_integers(kw):
+    # A count that is not an integer is refused, not rounded or truncated.
+    with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be an integer"):
+        _cfg(**kw)
+    # numpy integers stay accepted
+    assert _cfg(n_paths=np.int64(400), seed=np.uint64(3), workers=np.int32(2)).n_paths == 400
+
+
 def test_estimator_preconditions(model_jumps, contract):
     cfg = _cfg()
     with pytest.raises(ConfigError):

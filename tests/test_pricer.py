@@ -236,20 +236,21 @@ def test_threshold_out_of_range_guard(contract):
         optimal_threshold(b, m, contract)
 
 
-def test_threshold_sign_guard(model_jumps, contract):
+def test_threshold_sign_guard(model_jumps, model_nojump, contract):
     # A basis whose second coefficient has the wrong sign breaks the
     # first-order condition's premises: a typed error, not an assert.
-    b = basis_for(model_jumps)
-    flipped = b._replace(c=(b.c[0], -b.c[1], b.c[2]))
-    with pytest.raises(InconsistentBasis):
-        optimal_threshold(flipped, model_jumps, contract)
+    for m in (model_jumps, model_nojump):
+        b = basis_for(m)
+        flipped = b._replace(c=(b.c[0], -b.c[1], *b.c[2:]))
+        with pytest.raises(InconsistentBasis):
+            optimal_threshold(flipped, m, contract)
 
 
 def test_threshold_mixed_sum_guard(model_jumps, contract):
-    # Negative coefficients on positive exponents pass the sign guard but
-    # make the mixed discount sum negative: no first-order condition holds.
+    # Negative coefficients on positive exponents pass the coefficient signs
+    # but not the root's: the threshold formula needs a negative root.
     fabricated = ScaleBasis(eta=(1.0, 0.5, 0.2), c=(1.0, -1.0, -1.0))
-    with pytest.raises(InconsistentBasis, match="mixed discount sum"):
+    with pytest.raises(InconsistentBasis, match="negative root"):
         optimal_threshold(fabricated, model_jumps, contract)
 
 
