@@ -17,7 +17,7 @@ from .errors import (
     ThresholdOutOfRange,
 )
 from .model import ModelParams, laplace_exponent, make_model
-from .scale import ScaleBasis, basis_for, w_r, z_r
+from .scale import ScaleBasis, basis_for, w_r
 from .pricer import (
     Contract,
     PriceReport,
@@ -103,5 +103,4 @@ __all__ = [
     "simulate_paths",
     "value_at_threshold",
     "w_r",
-    "z_r",
 ]

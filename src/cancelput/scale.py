@@ -112,10 +112,9 @@ def basis_for(m: ModelParams) -> ScaleBasis:
 
 
 def _in_range(name: str, x: float, evaluate) -> float:
-    """The one range rule of W, its integral and Z: ``evaluate()``, or a
-    :class:`DomainError` naming ``x`` where that overflows the float range.
-    Each grows like c1 e^x, so that is where c1 e^x (r c1 e^x for Z) does,
-    or from x = 709.78 on, where e^x itself does."""
+    """The range rule of W: ``evaluate()``, or a :class:`DomainError` naming
+    ``x`` where that overflows the float range.  W grows like c1 e^x, so that
+    is where c1 e^x does, or from x = 709.78 on, where e^x itself does."""
     try:
         value = evaluate()
     except OverflowError:
@@ -138,18 +137,3 @@ def w_r(b: ScaleBasis, x: float) -> float:
         acc += ci * math.exp((ei - 1.0) * x)
     return _in_range("W", x, lambda: math.exp(x) * acc)
 
-
-def w_integral(b: ScaleBasis, x: float) -> float:
-    """Integral of W from 0 to ``x``, sum c_i expm1(eta_i x)/eta_i; zero for
-    ``x < 0``.  expm1 keeps each term accurate near 0, where (Z - 1)/r would
-    carry the roundoff of Z = 1 + O(r)."""
-    if x < 0.0:
-        return 0.0
-    return _in_range(
-        "the integral of W", x, lambda: sum(c * math.expm1(e * x) / e for e, c in zip(b.eta, b.c))
-    )
-
-
-def z_r(b: ScaleBasis, m: ModelParams, x: float) -> float:
-    """Z at ``x``: 1 + r * integral of W from 0 to x; one for ``x < 0``."""
-    return _in_range("Z", x, lambda: 1.0 + m.r * w_integral(b, x))

@@ -1,16 +1,20 @@
-"""The suites' own power: the analytic suite's W checks, read from the
-coefficients' signs and from ``w_r``, its generator identity, its exact
-smooth-fit and first-order readings, its grids at the top of the float
+"""The suites' own power: every analytic check passes on the true inputs and
+FAILs under one perturbation of the defect it is named for; the W checks,
+read from the coefficients' signs, the generator identity, the exact
+smooth-fit and first-order readings, the grids at the top of the float
 range, and the Monte Carlo suite's mode agreement."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from cancelput import diagnostics, pricer, scale
+from cancelput import diagnostics, pricer
 from cancelput.mc import McConfig
 from cancelput.model import make_model
 from cancelput.pricer import Contract
-from cancelput.scale import ScaleBasis, basis_for, w_r
+from cancelput.scale import ScaleBasis, basis_for
+from oracles import bs_reference
 
 W_CHECK = "W nonnegative and nondecreasing"
 SUM_CHECK = "coefficients sum to zero"
@@ -20,6 +24,113 @@ def _suite_on(basis, m, c, monkeypatch):
     """The analytic suite's results by name, run on ``basis`` in place of m's."""
     monkeypatch.setattr(diagnostics, "basis_for", lambda m: basis)
     return {res.name: res for res in diagnostics.analytic_suite(m, c)}
+
+
+EPS = 1e-8
+
+
+def _scaled(field, i=None):
+    """The model's ``field``, or the basis's ``field``[i], times 1 + EPS."""
+    def perturb(m, monkeypatch):
+        if i is None:
+            return m._replace(**{field: getattr(m, field) * (1.0 + EPS)})
+        b = basis_for(m)
+        values = list(getattr(b, field))
+        values[i] *= 1.0 + EPS
+        monkeypatch.setattr(diagnostics, "basis_for", lambda m: b._replace(**{field: tuple(values)}))
+        return m
+    return perturb
+
+
+def _moved_threshold(m, monkeypatch):
+    true = pricer.optimal_threshold
+    monkeypatch.setattr(diagnostics, "optimal_threshold", lambda b, m, c: true(b, m, c) * (1.0 + EPS))
+    return m
+
+
+def _falling_w(m, monkeypatch):
+    # c_1 negated: the e^x term's slope is wrong-signed, so W falls far out.
+    b = basis_for(m)
+    monkeypatch.setattr(diagnostics, "basis_for", lambda m: b._replace(c=(-b.c[0], *b.c[1:])))
+    return m
+
+
+def _values_under_the_payoff(m, monkeypatch):
+    # Below a* the policy's value is the payoff itself, so 1e-8 under it dips below.
+    true = pricer.policy_values
+    monkeypatch.setattr(diagnostics, "policy_values", lambda *args: [v * (1.0 - EPS) for v in true(*args)])
+    return m
+
+
+def _drift_positive_before_the_threshold(m, monkeypatch):
+    # h_function's delta moved to 2rK/a*, so delta a* - rK = rK > 0.
+    def h_function(m, c, s):
+        delta = 2.0 * m.r * c.strike / pricer.optimal_threshold(basis_for(m), m, c)
+        return (c.barrier / s) ** m.alpha * (delta * s - m.r * c.strike)
+    monkeypatch.setattr(diagnostics, "h_function", h_function)
+    return m
+
+
+def _values_over_the_plain_put(m, monkeypatch):
+    # The textbook plain put, which is at least K - s, raised by 1e-8.
+    monkeypatch.setattr(diagnostics, "policy_values", lambda b, m, c, points: [
+        bs_reference(m, c._replace(spot=s)).plain_put * (1.0 + EPS) for s, _ in points])
+    return m
+
+
+BOTH = ("model_nojump", "model_jumps")
+PERTURBATIONS = [
+    ("martingale identity", _scaled("mu"), BOTH),
+    ("cancellation exponent residual", _scaled("alpha"), BOTH),
+    ("root residuals", _scaled("eta", 1), BOTH),
+    ("coefficients sum to zero", _scaled("c", 0), BOTH),
+    ("derivative normalization", _scaled("c", 1), BOTH),
+    ("reciprocal-root identity", _scaled("c", -1), BOTH),
+    ("transform identity", _scaled("eta", -1), BOTH),
+    ("W nonnegative and nondecreasing", _falling_w, BOTH),
+    ("smooth fit at the threshold", _moved_threshold, BOTH),
+    # The upper root alone: optimal_threshold reads the lower one.
+    ("first-order condition at the threshold", _scaled("eta", 2), ("model_jumps",)),
+    ("value dominates the payoff", _values_under_the_payoff, BOTH),
+    ("drift of discounted payoff negative below the threshold", _drift_positive_before_the_threshold, BOTH),
+    ("generator identity", _scaled("alpha"), BOTH),
+    ("cancellable never exceeds the plain put", _values_over_the_plain_put, ("model_nojump",)),
+]
+CASES = [(model, name, perturb) for name, perturb, models in PERTURBATIONS for model in models]
+
+
+@pytest.mark.parametrize("model", BOTH)
+def test_every_check_has_a_perturbation(model, request, contract):
+    m = request.getfixturevalue(model)
+    ran = [res.name for res in diagnostics.analytic_suite(m, contract)]
+    assert ran == [name for mod, name, _ in CASES if mod == model]
+
+
+@pytest.mark.parametrize("model, name, perturb", CASES,
+                         ids=[f"{model[6:]}-{name}" for model, name, _ in CASES])
+def test_each_check_fails_under_its_defect(model, name, perturb, request, contract, monkeypatch):
+    # Identities are perturbed by a relative 1e-8 in one of mu, alpha, eta_i,
+    # c_i or a*; the margins by the defect each is named for.  The check
+    # passes on the true inputs and FAILs on the perturbed ones.
+    m = request.getfixturevalue(model)
+
+    def check(m):
+        (res,) = [res for res in diagnostics.analytic_suite(m, contract) if res.name == name]
+        return res
+
+    assert check(m).passed
+    res = check(perturb(m, monkeypatch))
+    assert not res.passed, res
+
+
+def test_plain_put_bound_is_finite_at_a_steep_root(model_nojump, contract, monkeypatch):
+    # A basis of basis_for's own two-root form with eta_2 = -600: the plain
+    # put as a power, (K/(1 - 1/eta_2))^(1 - eta_2), overflowed; as an
+    # exponential of a logarithm it can only underflow.
+    eta2 = -600.0
+    c1 = 1.0 / (model_nojump.sigma2 / 2.0 * (1.0 - eta2))
+    results = _suite_on(ScaleBasis(eta=(1.0, eta2), c=(c1, -c1)), model_nojump, contract, monkeypatch)
+    assert math.isfinite(results["cancellable never exceeds the plain put"].observed)
 
 
 def test_w_check_fails_on_a_basis_whose_w_dips(model_nojump, contract, monkeypatch):
@@ -74,21 +185,26 @@ def test_generator_identity_catches_a_drift_off_by_1e7(model, request, contract,
     assert not res.passed and res.observed > 1e3 * res.bound
 
 
-THRESHOLD_CHECKS = ("smooth fit at the threshold", "first-order condition at the threshold")
+THRESHOLD_CHECKS = {
+    "model_nojump": ("smooth fit at the threshold",),
+    "model_jumps": ("smooth fit at the threshold", "first-order condition at the threshold"),
+}
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e-8, 1e-6])
 @pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
 def test_threshold_checks_catch_a_moved_threshold(shift, model, request, contract,
                                                    monkeypatch):
-    # Smooth fit and the first-order condition are read exactly, so a* moved
-    # by 1e-8 relative reads far above both bounds; the true a* passes.
+    # Smooth fit and, with jumps, the first-order condition are read exactly,
+    # so a* moved by 1e-8 relative reads far above both bounds; the true a*
+    # passes.  Without jumps the first-order condition is not run: its one
+    # negative root is optimal_threshold's own, so smooth fit is the a* check.
     m = request.getfixturevalue(model)
     true = pricer.optimal_threshold
     monkeypatch.setattr(diagnostics, "optimal_threshold",
                         lambda b, m, c: true(b, m, c) * (1.0 + shift))
     results = {res.name: res for res in diagnostics.analytic_suite(m, contract)}
-    for name in THRESHOLD_CHECKS:
+    for name in THRESHOLD_CHECKS[model]:
         res = results[name]
         assert res.passed == (shift == 0.0), res
         assert shift == 0.0 or res.observed > 10.0 * res.bound
@@ -104,33 +220,13 @@ def test_root_residuals_are_relative_and_cleared_of_the_pole(lam, contract):
     assert check.passed and check.observed <= 1e-15 and check.bound == 1e-14
 
 
-def test_analytic_suite_does_not_evaluate_w_point_by_point(
-    model_nojump, model_jumps, contract, monkeypatch
-):
-    # W is read through w_r at 25 points ("Z' = r W") and, without jumps, 101
-    # more (the Brownian form): 126 for the jump-free set, 25 with jumps.
-    # Its monotonicity comes from the coefficients' signs, so a scan of W
-    # over a fine grid would show up as thousands of calls.
-    calls = []
-
-    def counted(b, x):
-        calls.append(x)
-        return w_r(b, x)
-
-    monkeypatch.setattr(scale, "w_r", counted)
-    monkeypatch.setattr(diagnostics, "w_r", counted)
-    for m in (model_nojump, model_jumps):
-        assert all(res.passed for res in diagnostics.analytic_suite(m, contract))
-    assert len(calls) < 200
-
-
 @pytest.mark.parametrize("lam", [0.0, 5.0])
 def test_analytic_suite_grids_stay_finite_at_the_top_of_the_float_range(lam):
     # "Value dominates the payoff" runs to 5h and the plain-put bound to 3h;
     # at h = 1e308 both tops pass the largest float, which must cap them.
     m = make_model(r=0.05, sigma2=0.2, lam=lam, rho=2.0)
     results = diagnostics.analytic_suite(m, Contract(strike=100.0, barrier=1e308, spot=110.0))
-    assert len(results) == (19 if lam == 0.0 else 17)
+    assert len(results) == 13
     failed = [res for res in results if not res.passed]
     assert not failed, failed
 

@@ -12,9 +12,7 @@ import cancelput
 from cancelput.errors import CancelPutError, DegenerateRoots, DomainError
 from cancelput.model import laplace_exponent, make_model
 from cancelput.pricer import Contract, price
-from cancelput.scale import (
-    ScaleBasis, _partial_fraction_weights, basis_for, w_integral, w_r, z_r,
-)
+from cancelput.scale import ScaleBasis, _partial_fraction_weights, basis_for, w_r
 from test_domain import _draws
 
 REL = 1e-12
@@ -101,19 +99,8 @@ def test_two_root_w_matches_brownian_closed_form(model_nojump):
 def test_w_and_z_boundary_values(model_jumps):
     b = basis_for(model_jumps)
     assert abs(w_r(b, 0.0)) <= 1e-12
-    assert z_r(b, model_jumps, 0.0) == 1.0
-    # Below the origin both solutions take their killed values.
+    # Below the origin W takes its killed value.
     assert w_r(b, -0.3) == 0.0
-    assert z_r(b, model_jumps, -0.3) == 1.0
-
-
-def test_z_prime_is_r_times_w(model_jumps):
-    b = basis_for(model_jumps)
-    m = model_jumps
-    for x in (0.05, 0.4, 1.0, 2.5):
-        h = 1e-6
-        fd = (z_r(b, m, x + h) - z_r(b, m, x - h)) / (2.0 * h)
-        assert fd == pytest.approx(m.r * w_r(b, x), rel=1e-6)
 
 
 def test_w_nonnegative_nondecreasing(model_jumps):
@@ -236,24 +223,9 @@ def test_jump_basis_equals_the_loop_reference_across_the_box():
 
 
 def test_no_overflow_far_from_origin(model_jumps):
-    # W and Z grow like e^x: finite at 600, beyond the float range at 720,
-    # where both refuse with a typed error that names x instead of a value.
+    # W grows like e^x: finite at 600, beyond the float range at 720, where
+    # it refuses with a typed error that names x instead of a value.
     b = basis_for(model_jumps)
-    assert math.isfinite(w_r(b, 600.0)) and math.isfinite(z_r(b, model_jumps, 600.0))
-    for f in (lambda x: w_r(b, x), lambda x: z_r(b, model_jumps, x)):
-        with pytest.raises(DomainError, match="x=720.0"):
-            f(720.0)
-
-
-def test_w_integral_is_accurate_to_its_terms(model_jumps):
-    # sum c_i expm1(eta_i x)/eta_i against 40-digit mpmath, down to tiny x,
-    # relative to the sum of its terms' magnitudes: no 1/r amplification, as
-    # forming it from Z - 1 would bring.
-    mpmath = pytest.importorskip("mpmath")
-    b = basis_for(model_jumps)
-    for x in (1e-12, 1e-6, 1e-2, 1.0, 5.0):
-        with mpmath.workdps(40):
-            terms = [mpmath.mpf(c) * mpmath.expm1(mpmath.mpf(e) * x) / e
-                     for e, c in zip(b.eta, b.c)]
-            want, size = float(sum(terms)), float(sum(map(abs, terms)))
-        assert abs(w_integral(b, x) - want) <= 1e-15 * size
+    assert math.isfinite(w_r(b, 600.0))
+    with pytest.raises(DomainError, match="x=720.0"):
+        w_r(b, 720.0)
