@@ -2,16 +2,11 @@
 
 ``dataclasses`` pulls in ``inspect`` and builds each class's methods by
 ``exec`` at import time; for four records that was about half of
-``import cancelput``.  The closed-form records instead declare their fields in
-``__slots__``, set them once in an explicit ``__init__`` through
-:data:`_set`, and take the rest from :class:`Record`.  A slot read costs
-what a dataclass attribute read costs; a tuple-based record's read does not.
+``import cancelput``.  These records declare their fields in ``__slots__``,
+fill them once in ``__init__`` through the slots' own setters
+(:meth:`Record._setters`) and take the rest from :class:`Record`.  A slot read
+costs what a dataclass attribute read costs; a tuple-based record's does not.
 """
-
-from __future__ import annotations
-
-#: Field setter for a subclass's ``__init__``; the record's own refuses.
-_set = object.__setattr__
 
 
 class Record:
@@ -20,6 +15,11 @@ class Record:
     through the subclass's ``__init__`` (so its checks run again)."""
 
     __slots__ = ()
+
+    @classmethod
+    def _setters(cls) -> tuple:
+        """Each slot's bound ``__set__``, in ``__slots__`` order: ``__init__``'s field setters."""
+        return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

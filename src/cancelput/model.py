@@ -9,11 +9,9 @@ it controls how fast the option's cancellation discount decays with the
 distance below the barrier.
 """
 
-from __future__ import annotations
-
 import math
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import DegenerateCancellation, InvalidParams, PoleError
 
 
@@ -29,12 +27,15 @@ class ModelParams(Record):
     def __init__(
         self, r: float, sigma2: float, lam: float, rho: float, mu: float, alpha: float
     ) -> None:
-        _set(self, "r", r)
-        _set(self, "sigma2", sigma2)
-        _set(self, "lam", lam)
-        _set(self, "rho", rho)
-        _set(self, "mu", mu)
-        _set(self, "alpha", alpha)
+        _set_r(self, r)
+        _set_sigma2(self, sigma2)
+        _set_lam(self, lam)
+        _set_rho(self, rho)
+        _set_mu(self, mu)
+        _set_alpha(self, alpha)
+
+
+_set_r, _set_sigma2, _set_lam, _set_rho, _set_mu, _set_alpha = ModelParams._setters()
 
 
 def make_model(r: float, sigma2: float, lam: float, rho: float) -> ModelParams:

@@ -16,15 +16,13 @@ threshold exactly) and a jump part (the asset leaps over it, landing at an
 exponentially distributed undershoot).
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import sys
 import warnings
 from typing import TYPE_CHECKING
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import (
     ConfigError,
     DomainError,
@@ -63,9 +61,9 @@ class Contract(Record):
                 f"barrier must exceed the strike and be finite, got barrier={barrier}, "
                 f"strike={strike}"
             )
-        _set(self, "strike", strike)
-        _set(self, "barrier", barrier)
-        _set(self, "spot", spot)
+        _set_strike(self, strike)
+        _set_barrier(self, barrier)
+        _set_spot(self, spot)
 
 
 class PriceReport(Record):
@@ -81,11 +79,16 @@ class PriceReport(Record):
         undershoot_factor: float,
         region: Region,
     ) -> None:
-        _set(self, "a_star", a_star)
-        _set(self, "value", value)
-        _set(self, "creeping_factor", creeping_factor)
-        _set(self, "undershoot_factor", undershoot_factor)
-        _set(self, "region", region)
+        _set_a_star(self, a_star)
+        _set_value(self, value)
+        _set_creeping_factor(self, creeping_factor)
+        _set_undershoot_factor(self, undershoot_factor)
+        _set_region(self, region)
+
+
+_set_strike, _set_barrier, _set_spot = Contract._setters()
+_set_a_star, _set_value, _set_creeping_factor, _set_undershoot_factor, _set_region = PriceReport._setters()
+_CONTINUATION, _EXERCISE = Region  # a member lookup costs what a field set does
 
 
 def g_payoff(m: ModelParams, c: Contract, s: float) -> float:
@@ -103,17 +106,19 @@ def g_integral(m: ModelParams, c: Contract, a: float) -> float:
 
     Equals the integral of rho*e^{-rho*y} G(a e^{-y}) over y > 0.  Because
     a < K < h, the landing point stays below both kinks and the integral
-    collapses to the closed form used here.  Zero without jumps (the
-    undershoot event never happens).
+    collapses to (h/a)^alpha rho (K/(rho - alpha) - a/(rho - alpha + 1)).
+    Zero without jumps (the undershoot event never happens).
     """
+    return _payoff_pair(m, c, a)[1]
+
+
+def _payoff_pair(m: ModelParams, c: Contract, a: float) -> tuple[float, float]:
+    """G(a) and G_bar(a) (:func:`g_integral`) for ``a`` in (0, strike), from one (h/a)^alpha."""
     if not (0.0 < a < c.strike):
         raise DomainError(f"threshold must lie in (0, strike), got a={a}")
-    if m.lam == 0.0:
-        return 0.0
-    rho, alpha = m.rho, m.alpha
-    return (c.barrier / a) ** alpha * rho * (
-        c.strike / (rho - alpha) - a / (rho - alpha + 1.0)
-    )
+    k, alpha, rho, p = c.strike, m.alpha, m.rho, (c.barrier / a) ** m.alpha
+    g_bar = p * rho * (k / (rho - alpha) - a / (rho - alpha + 1.0)) if m.lam != 0.0 else 0.0
+    return (k - a) * (1.0 if 1.0 < p else p), g_bar  # min(p, 1.0), as in g_payoff
 
 
 def _clamped_unit(raw: float, label: str, s: float, a: float) -> float:
@@ -230,17 +235,17 @@ def price(b: ScaleBasis, m: ModelParams, c: Contract) -> PriceReport:
     """Full report at the optimal threshold, evaluated at the contract spot."""
     a_star = optimal_threshold(b, m, c)
     if c.spot <= a_star:
-        return PriceReport(a_star, g_payoff(m, c, c.spot), 1.0, 0.0, Region.EXERCISE)
+        return PriceReport(a_star, g_payoff(m, c, c.spot), 1.0, 0.0, _EXERCISE)
     creep, under = passage_factors(b, m, c.spot, a_star)
-    value = creep * g_payoff(m, c, a_star) + under * g_integral(m, c, a_star)
-    return PriceReport(a_star, value, creep, under, Region.CONTINUATION)
+    g, g_bar = _payoff_pair(m, c, a_star)
+    return PriceReport(a_star, creep * g + under * g_bar, creep, under, _CONTINUATION)
 
 
 def grid_search_threshold(
     m: ModelParams,
     c: Contract,
     a_grid,
-    cfg: McConfig | None = None,
+    cfg: "McConfig | None" = None,
 ) -> tuple[float, list[float]]:
     """Argmax of the policy value over candidate thresholds (the first, on ties).
 

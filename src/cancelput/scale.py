@@ -12,11 +12,9 @@ coefficients.  Without jumps the cubic collapses to a quadratic and the sum
 has two terms.  Every root and coefficient is algebraic: no iteration.
 """
 
-from __future__ import annotations
-
 import math
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import DegenerateRoots, DomainError
 from .model import ModelParams
 
@@ -35,8 +33,11 @@ class ScaleBasis(Record):
     __slots__ = ("eta", "c")
 
     def __init__(self, eta: tuple[float, ...], c: tuple[float, ...]) -> None:
-        _set(self, "eta", eta)
-        _set(self, "c", c)
+        _set_eta(self, eta)
+        _set_c(self, c)
+
+
+_set_eta, _set_c = ScaleBasis._setters()
 
 
 def _partial_fraction_weights(

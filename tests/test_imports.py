@@ -1,12 +1,16 @@
-"""Module boundaries: the package's modules share only public names.
+"""Module boundaries: the package's modules share only public names, and
+``import cancelput`` loads only the closed form.
 
 An underscore name is private to its module; another module that imports
-it depends on an implementation detail.  ``_record`` is the one exception:
-it exists to share ``Record`` and ``_set`` with the record modules.
+it depends on an implementation detail.  ``_record`` is a private module,
+but the one name it shares, ``Record``, is public.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,6 @@ import cancelput
 
 PACKAGE = Path(cancelput.__file__).parent
 TESTS = Path(__file__).parent
-SHARED = "_record"
 
 
 def _private_imports(source: str) -> list[str]:
@@ -31,10 +34,8 @@ def _private_imports(source: str) -> list[str]:
             module = node.module.removeprefix("cancelput.")
         else:
             continue  # the standard library or a third-party package
-        if module == SHARED:
-            continue
         for alias in node.names:
-            if alias.name.startswith("_") and not (module == "" and alias.name == SHARED):
+            if alias.name.startswith("_"):
                 found.append(f"{node.lineno}: {module}.{alias.name}")
     return found
 
@@ -56,8 +57,37 @@ def test_the_scan_sees_every_form_of_private_import():
         "    from .scale import _roots\n"
     )
     assert sorted(_private_imports(source)) == [
-        "3: model._psi", "4: mc._tilt", "6: ._scale", "8: scale._roots"
+        "3: model._psi", "4: mc._tilt", "5: _record._set", "6: ._record", "6: ._scale",
+        "8: scale._roots",
     ]
+
+
+#: The modules ``import cancelput`` may load of its own: the closed form.
+CLOSED_FORM = {f"cancelput{m}" for m in ("", "._record", ".errors", ".model", ".scale", ".pricer")}
+#: Never loaded by the import: code generated at import time (dataclasses,
+#: which pulls in inspect), and the Monte Carlo, CLI and reporting layers' needs.
+NOT_AT_IMPORT = {"dataclasses", "inspect", "numpy", "json", "argparse"}
+
+
+def test_import_loads_only_the_closed_form():
+    # A fresh ``import cancelput`` compiles and runs these modules and nothing
+    # more; each added module, or code built at import, is paid on every cold
+    # start.  ``__future__`` is a module import the closed form does not need.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cancelput\n"
+        "print(*sorted(sys.modules))\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded, added = (set(line.split()) for line in proc.stdout.splitlines())
+    assert {m for m in loaded if m.partition(".")[0] == "cancelput"} <= CLOSED_FORM
+    assert loaded & NOT_AT_IMPORT == set()
+    assert "__future__" not in added
 
 
 #: Where numpy may be imported: the Monte Carlo layer, and the one suite that

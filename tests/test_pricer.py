@@ -384,6 +384,32 @@ def test_policy_values_form_the_payoff_once_per_run_of_equal_thresholds(model_ju
     assert [a for x, a in divisions if x == contract.barrier] == [50.0, 60.0, 50.0]
 
 
+@pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
+@pytest.mark.parametrize(
+    "spot, region", [(110.0, Region.CONTINUATION), (30.0, Region.EXERCISE)],
+    ids=["continuation", "exercise"],
+)
+def test_price_forms_the_payoff_from_one_power(model, spot, region, contract, request):
+    # G and G_bar at a* share (h/a*)^alpha; below a* the payoff is G(spot).
+    m = request.getfixturevalue(model)
+    b = basis_for(m)
+    powers = []
+
+    class Ratio(float):  # h / x: counts the powers taken of it
+        def __pow__(self, other):
+            powers.append(float(self))
+            return float(self) ** other
+
+    class Barrier(float):
+        def __truediv__(self, other):
+            return Ratio(float(self) / other)
+
+    plain = contract._replace(spot=spot)
+    rep = price(b, m, plain._replace(barrier=Barrier(plain.barrier)))
+    assert rep == price(b, m, plain) and rep.region is region
+    assert powers == [plain.barrier / (rep.a_star if region is Region.CONTINUATION else spot)]
+
+
 def _one_point_factors(b, m, s, a):
     """(creep, under) for one s >= a, the per-root sums written out plainly with
     each product in the loop's operand order: the loop must equal it bit for bit."""

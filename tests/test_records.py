@@ -50,6 +50,35 @@ def test_fields_cannot_be_set_added_or_deleted(rec):
     assert not hasattr(rec, "__dict__")
 
 
+@pytest.mark.parametrize("rec", records(), ids=lambda rec: type(rec).__name__)
+def test_every_field_refuses_set_and_delete(rec):
+    for name in rec.__slots__:
+        before = getattr(rec, name)
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+        assert getattr(rec, name) is before
+
+
+#: Positional arguments that differ field to field: a setter wired to the
+#: wrong slot shows as an argument read back from the wrong field.
+POSITIONAL = [
+    (ModelParams, MODEL_ARGS),
+    (ScaleBasis, ((1.0, -19.1, -0.05), (1.4, -0.4, -0.9))),
+    (Contract, (100.0, 120.0, 110.0)),
+    (PriceReport, (63.2, 19.0, 0.1, 0.85, Region.CONTINUATION)),
+]
+
+
+@pytest.mark.parametrize("cls, args", POSITIONAL, ids=[cls.__name__ for cls, _ in POSITIONAL])
+def test_every_field_reads_back_its_own_argument(cls, args):
+    assert len(cls.__slots__) == len(args) == len({repr(x) for x in args})
+    rec = cls(*args)
+    for name, arg in zip(cls.__slots__, args):
+        assert getattr(rec, name) is arg, name
+
+
 def test_equality_hash_and_repr():
     a, b = Contract(100.0, 120.0, 110.0), Contract(100.0, 120.0, 110.0)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
