@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import CancelPutError, ConfigError, InvalidParams
@@ -52,6 +53,9 @@ _CONFIG_KEYS = {
 
 #: Most points a threshold grid search or a curve may have.
 _GRID_MAX_POINTS = 100_000
+
+#: Most CSV rows one ``%`` formats, so the text held at once stays bounded.
+_CSV_BLOCK_ROWS = 4096
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -185,11 +189,16 @@ def _params_echo(model, contract) -> dict:
     }
 
 
-def _write_rows(path: str, rows: list[str]) -> int:
-    """Write CSV rows to ``path``; exit 3 with a message if it cannot be written."""
+def _write_csv(path: str, header: str, templates: list[str], cells: list) -> int:
+    """Write ``header``, then one row per template, formatted from the next of
+    ``cells`` (one per ``%``); exit 3 with a message if ``path`` cannot be written."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write(header + "\n")
+            cells = iter(cells)
+            for start in range(0, len(templates), _CSV_BLOCK_ROWS):
+                block = "".join(templates[start:start + _CSV_BLOCK_ROWS])
+                fh.write(block % tuple(islice(cells, block.count("%"))))
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         return _EXIT_IO
@@ -262,12 +271,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
     basis = basis_for(model)
     a_star = optimal_threshold(basis, model, contract)
     n, lo, span = args.points, args.smin, args.smax - args.smin
-    spots = [lo + span * i / (n - 1) for i in range(n)]
-    values = policy_values(basis, model, contract, zip(spots, [a_star] * n))
-    rows = ["s,payoff,value"]
-    rows += ["%.12g,%.12g,%.12g" % (s, g_payoff(model, contract, s), v)
-             for s, v in zip(spots, values)]
-    return _write_rows(args.out, rows)
+    # span * (i / (n - 1)) <= span, so no spot overflows; the last is smax.
+    spots = [lo + span * (i / (n - 1)) for i in range(n - 1)] + [args.smax]
+    cells = [0.0] * (3 * n)
+    cells[0::3] = spots
+    cells[1::3] = [g_payoff(model, contract, s) for s in spots]
+    cells[2::3] = policy_values(basis, model, contract, zip(spots, [a_star] * n))
+    return _write_csv(args.out, "s,payoff,value", ["%.12g,%.12g,%.12g\n"] * n, cells)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -303,18 +313,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         a = optimal_threshold(basis_for(model), model, contract)
     paths = simulate_paths(model, contract, a, cfg)
-    # A path the horizon came first for has no tau or s_tau: empty cells.
-    rows = ["path_index,tau,s_tau,crossing_type"]
-    rows += [
-        "%d,,,none" % i if kind == "none" else "%d,%.12g,%.12g,%s" % (i, tau, s_tau, kind)
-        for i, (tau, s_tau, kind) in enumerate(
-            zip(paths.tau.tolist(), paths.s_tau.tolist(), paths.crossing.tolist())
-        )
-    ]
-    if _write_rows(args.out, rows) != _EXIT_OK:
+    # A row's kind picks its template and cells: none (the horizon came first)
+    # takes the index, creep the index and tau (its s_tau is a), jump all three.
+    stopped = paths.crossing != "none"
+    kind = stopped + (paths.crossing == "jump").astype(int)
+    templates = ["%d,,,none\n", "%%d,%%.12g,%.12g,creep\n" % a, "%d,%.12g,%.12g,jump\n"]
+    cells = paths.tau.astype(object).repeat(3).reshape(-1, 3)  # (index, tau, s_tau) rows
+    cells[:, 0], cells[:, 2] = range(kind.size), paths.s_tau
+    header = "path_index,tau,s_tau,crossing_type"
+    if _write_csv(args.out, header, list(map(templates.__getitem__, kind.tolist())),
+                  cells[kind[:, None] >= (0, 1, 2)].tolist()) != _EXIT_OK:
         return _EXIT_IO
-    stopped = int((paths.crossing != "none").sum())
-    print(f"wrote {paths.tau.size} paths to {args.out} ({stopped} stopped before horizon)")
+    print(f"wrote {kind.size} paths to {args.out} ({stopped.sum()} stopped before horizon)")
     return _EXIT_OK
 
 
@@ -337,8 +347,16 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None, help="parallel worker processes")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ``ConfigError``, which ``main`` prints as JSON."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cancelput",
         description="Perpetual put that dies at the asset's last visit above a barrier",
     )
@@ -390,8 +408,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _apply_config_file(args)
         return args.func(args)
     except CancelPutError as exc:

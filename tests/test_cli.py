@@ -4,6 +4,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -460,6 +461,17 @@ def test_curve_too_many_points_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_curve_to_near_the_largest_float_stays_finite(tmp_path, capsys):
+    # smax * 1 would overflow if formed as (smax - smin) * i / (n - 1).
+    out = tmp_path / "curve.csv"
+    code, _ = run_cli(["curve", *BASE, "--smin", "1", "--smax", "1.7e308", "--points", "3",
+                       "--out", str(out)], capsys)
+    assert code == 0
+    rows = [[float(x) for x in row.split(",")] for row in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 and all(math.isfinite(x) for row in rows for x in row)
+    assert rows[-1][0] == 1.7e308
+
+
 def test_curve_unwritable_path_exit_3(capsys):
     code, _ = run_cli(["curve", *BASE, "--smin", "30", "--smax", "60",
                        "--points", "5", "--out", "/nonexistent-dir/x.csv"], capsys)
@@ -861,8 +873,13 @@ def test_curve_from_a_star_is_pinned(case, tmp_path, capsys):
 
 
 # simulate's CSV by sha256, with the row kinds each run must contain: at
-# threshold 0.01 the diffusion leaves 35 of 100 paths at the horizon.
+# threshold 0.01 the diffusion leaves 35 of 100 paths at the horizon, and at
+# threshold 1e-60 the jump set writes 9 none, 8 creep and 83 jump rows.
 PINNED_SIMULATE = {
+    "all_kinds": (
+        [*JUMPS, "--threshold", "1e-60"], {"creep", "jump", "none"},
+        "c915b6b46bf3de419178d8a103fce44ae004ef04f3ab4a8ace6c4f4b629567dd",
+    ),
     "diffusion": (
         [*BASE, "--threshold", "0.01"], {"creep", "none"},
         "35736bde79b9405cf270c7d2be9cf8b2857cd103f240c05b5ea423324a6de380",
@@ -882,6 +899,24 @@ def test_simulate_csv_is_pinned(case, tmp_path, capsys):
     assert run_cli(argv, capsys)[0] == 0
     rows = out.read_text().splitlines()[1:]
     assert {row.rsplit(",", 1)[1] for row in rows} == kinds
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # A creep row's s_tau is the stop level itself, written with %.12g.
+    if "--threshold" in flags:
+        a = float(flags[flags.index("--threshold") + 1])
+    else:
+        a = run_json(["threshold", *flags], capsys)[1]["a_star"]
+    creep_levels = {row.split(",")[2] for row in rows if row.endswith(",creep")}
+    assert creep_levels == {"%.12g" % a}
+
+
+def test_simulate_csv_is_the_same_in_small_blocks(tmp_path, capsys, monkeypatch):
+    # With 7-row blocks, rows of every kind meet block edges, and each block
+    # must take exactly its own rows' cells.
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+    flags, _kinds, digest = PINNED_SIMULATE["all_kinds"]
+    out = tmp_path / "paths.csv"
+    argv = ["simulate", *flags, "--paths", "100", "--seed", "8", "--out", str(out)]
+    assert run_cli(argv, capsys)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -905,6 +940,38 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
     assert code == 0 and doc["params_echo"]["lambda"] == 0.0
     code, out_text = run_cli(["validate", *BASE], capsys)
     assert code == 0 and "transform identity" in out_text  # default suite is analytic
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["price", *BASE[:-1]], "argument --spot: expected one argument"),
+    (["price", *BASE, "--no-such-flag", "3"], "unrecognized arguments: --no-such-flag 3"),
+    (["validate", *BASE, "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+])
+def test_usage_error_is_a_json_config_error(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2 and doc["error"]["type"] == "ConfigError"
+    assert doc["error"]["message"].startswith(message)
+    assert captured.err.startswith("usage: cancelput")
+
+
+def test_negative_spot_in_exponent_form_is_a_json_error(capsys):
+    # Older argparse reads -1e-05 as a flag, so --spot lacks its value (a
+    # usage error); newer argparse reads it as the spot, which is invalid.
+    code, doc = run_json(["price", *BASE[:-1], "-1e-05"], capsys)
+    assert code == 2
+    assert (doc["error"]["type"], doc["error"]["message"]) in {
+        ("ConfigError", "argument --spot: expected one argument"),
+        ("InvalidParams", "spot must be positive and finite, got -1e-05"),
+    }
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cancelput price")
 
 
 def test_price_does_not_import_scipy():
