@@ -17,7 +17,7 @@ from .errors import (
     ThresholdOutOfRange,
 )
 from .model import ModelParams, laplace_exponent, make_model
-from .scale import ScaleBasis, basis_for, w_r
+from .scale import ScaleBasis, basis_for
 from .pricer import (
     Contract,
     PriceReport,
@@ -102,5 +102,4 @@ __all__ = [
     "price",
     "simulate_paths",
     "value_at_threshold",
-    "w_r",
 ]

@@ -11,8 +11,8 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import CancelPutError, ConfigError, InvalidParams
@@ -189,16 +189,15 @@ def _params_echo(model, contract) -> dict:
     }
 
 
-def _write_csv(path: str, header: str, templates: list[str], cells: list) -> int:
-    """Write ``header``, then one row per template, formatted from the next of
-    ``cells`` (one per ``%``); exit 3 with a message if ``path`` cannot be written."""
+def _write_csv(path: str, header: str, n: int, block) -> int:
+    """Write ``header``, then rows 0 to n-1 a block at a time, ``block(i, j)`` giving rows i
+    to j-1 as a template and its cells; exit 3 with a message if ``path`` cannot be written."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            cells = iter(cells)
-            for start in range(0, len(templates), _CSV_BLOCK_ROWS):
-                block = "".join(templates[start:start + _CSV_BLOCK_ROWS])
-                fh.write(block % tuple(islice(cells, block.count("%"))))
+            for start in range(0, n, _CSV_BLOCK_ROWS):
+                template, cells = block(start, min(start + _CSV_BLOCK_ROWS, n))
+                fh.write(template % cells)
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         return _EXIT_IO
@@ -277,7 +276,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     cells[0::3] = spots
     cells[1::3] = [g_payoff(model, contract, s) for s in spots]
     cells[2::3] = policy_values(basis, model, contract, zip(spots, [a_star] * n))
-    return _write_csv(args.out, "s,payoff,value", ["%.12g,%.12g,%.12g\n"] * n, cells)
+    return _write_csv(args.out, "s,payoff,value", n,
+                      lambda i, j: ("%.12g,%.12g,%.12g\n" * (j - i), tuple(cells[3 * i : 3 * j])))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -318,11 +318,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stopped = paths.crossing != "none"
     kind = stopped + (paths.crossing == "jump").astype(int)
     templates = ["%d,,,none\n", "%%d,%%.12g,%.12g,creep\n" % a, "%d,%.12g,%.12g,jump\n"]
-    cells = paths.tau.astype(object).repeat(3).reshape(-1, 3)  # (index, tau, s_tau) rows
-    cells[:, 0], cells[:, 2] = range(kind.size), paths.s_tau
-    header = "path_index,tau,s_tau,crossing_type"
-    if _write_csv(args.out, header, list(map(templates.__getitem__, kind.tolist())),
-                  cells[kind[:, None] >= (0, 1, 2)].tolist()) != _EXIT_OK:
+
+    def block(i: int, j: int) -> tuple[str, tuple]:
+        rows, cells = kind[i:j], paths.tau[i:j].astype(object).repeat(3).reshape(-1, 3)
+        cells[:, 0], cells[:, 2] = range(i, j), paths.s_tau[i:j]  # (index, tau, s_tau) rows
+        return "".join(map(templates.__getitem__, rows.tolist())), tuple(cells[rows[:, None] >= (0, 1, 2)])
+
+    if _write_csv(args.out, "path_index,tau,s_tau,crossing_type", kind.size, block) != _EXIT_OK:
         return _EXIT_IO
     print(f"wrote {kind.size} paths to {args.out} ({stopped.sum()} stopped before horizon)")
     return _EXIT_OK
@@ -349,6 +351,11 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is a ``ConfigError``, which ``main`` prints as JSON."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-1e-05" is a negative number and so a value, not a flag, as "-1" is.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

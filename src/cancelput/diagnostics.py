@@ -179,17 +179,20 @@ def mc_suite(m: ModelParams, c: Contract, cfg: McConfig) -> list[CheckResult]:
 
     import numpy as np
 
-    from .mc import McEstimate, McMode, estimate_discounted_terminal, simulate_paths
+    from .mc import McEstimate, McMode, simulate_stop_and_terminal
 
     rep = price(basis_for(m), m, c)
     a_star, closed = rep.a_star, rep.value
     out: list[CheckResult] = []
 
-    # One direct-mode run: its stops are survival mode's, so the survival
+    # One direct-mode run, whose kernel pass also samples the martingale
+    # check's terminal paths: its stops are survival mode's, so the survival
     # figures come from the same record with the closed-form weight.
-    direct = simulate_paths(m, c, a_star, replace(cfg, mode=McMode.DIRECT_LAST_PASSAGE))
+    direct_cfg = replace(cfg, mode=McMode.DIRECT_LAST_PASSAGE)
+    direct, term = simulate_stop_and_terminal(m, c, a_star, 1.0, direct_cfg)
     paths = replace(direct, returned=None)
-    est = paths.value(m, c)
+    survival, direct_pay = paths.payoffs(m, c), direct.payoffs(m, c)
+    est = McEstimate.from_sample(survival)
     floor = 0.01 if m.lam == 0.0 else 0.015
     out.append(
         _check(
@@ -231,7 +234,6 @@ def mc_suite(m: ModelParams, c: Contract, cfg: McConfig) -> list[CheckResult]:
                 )
             )
 
-    term = estimate_discounted_terminal(m, c, 1.0, cfg)
     out.append(
         _check(
             "discounted asset is a martingale",
@@ -243,13 +245,13 @@ def mc_suite(m: ModelParams, c: Contract, cfg: McConfig) -> list[CheckResult]:
 
     # The two weights of each path, paired: their difference cancels the
     # payoff's noise and leaves the return's.
-    gap = McEstimate.from_sample(direct.payoffs(m, c) - paths.payoffs(m, c))
+    gap = McEstimate.from_sample(direct_pay - survival)
     out.append(
         _check(
             "survival and direct modes agree",
             abs(gap.mean),
             3.0 * gap.stderr,
-            f"survival {est.mean:.4f} vs direct {direct.value(m, c).mean:.4f}",
+            f"survival {est.mean:.4f} vs direct {float(np.mean(direct_pay)):.4f}",
         )
     )
 

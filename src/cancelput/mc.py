@@ -4,10 +4,10 @@ Paths are simulated exactly in log space, one jump epoch at a time, with
 no time grid (Metwally & Atiya 2002).  Jump gaps and sizes are
 exponential; each Brownian segment between jumps draws its endpoint, then
 whether its bridge crept through the level, then when.  One kernel, the
-first passage of a level, serves every run: the stop, direct mode's return
-to the barrier under an Esscher tilt (see ``_tilt``), and the terminal
-sampler.  It moves all active paths of a chunk forward a block of jump
-epochs per numpy step.
+first passage of a level by a horizon, serves every run: the stop and, in
+the same pass, the terminal sampler, then direct mode's return to the
+barrier under an Esscher tilt (see ``_tilt``).  It moves a chunk's active
+paths a block of jump epochs per numpy step; without jumps, one segment.
 
 Randomness is counter-based: every random word is Philox4x32-10 (Salmon
 et al., SC'11) of the counter (event, purpose, path) under the 64-bit seed
@@ -33,7 +33,7 @@ from .pricer import Contract
 #: Path-events per kernel step; bounds every temporary array.
 _CAP = 1 << 12
 #: Events drawn per path in a chunk's first step; doubles every step.
-_FIRST_EVENTS = 16
+_FIRST_EVENTS = 8
 #: Most worker processes one run may ask for; more is a ConfigError.
 _MAX_WORKERS = 64
 #: The return run ends at log(_RETURN_BIAS)/psi(theta), after which every
@@ -43,6 +43,7 @@ _RETURN_BIAS = 1e-12
 # Counter purposes of a run's (normal, crossing, jump) draws: each yields
 # two uniforms per (event, path).
 _STOP, _RETURN = (0, 1, 2), (3, 4, 5)
+_KINDS = np.array(["none", "creep", "jump"])  # crossings by the kernel's codes
 
 _PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B9, 0xBB67AE85
@@ -96,13 +97,13 @@ class McEstimate:
     @classmethod
     def from_sample(cls, vals: np.ndarray, truncation_bound: float = 0.0) -> McEstimate:
         """Mean and standard error of a per-path sample (pairwise summation,
-        so the figures do not depend on how the paths were chunked)."""
-        return cls(
-            mean=float(np.mean(vals)),
-            stderr=float(np.std(vals, ddof=1) / math.sqrt(vals.size)),
-            n_paths=int(vals.size),
-            truncation_bound=truncation_bound,
-        )
+        so the figures do not depend on how the paths were chunked); below
+        about 1e-154 squares underflow, so it rescales by a power of two."""
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+        if stderr < 1e-150 and vals.any():  # an all-zero sample is exact as it is
+            shift = math.frexp(float(np.max(np.abs(vals))))[1]
+            stderr = math.ldexp(float(np.std(np.ldexp(vals, -shift), ddof=1) / math.sqrt(vals.size)), shift)
+        return cls(float(np.mean(vals)), stderr, int(vals.size), truncation_bound)
 
 
 @dataclass(frozen=True)
@@ -223,18 +224,18 @@ def _crossing_time(
 
 
 def _simulate(
-    m: ModelParams, level: np.ndarray, horizon: float, seed: int, ids: np.ndarray,
+    m: ModelParams, level: np.ndarray, horizon: np.ndarray | float, seed: int, ids: np.ndarray,
     purposes: tuple[int, int, int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate paths ``ids``, each started at x = 0, to its first passage.
 
     Path ``ids[i]`` stops at its first passage to or past ``level[i]``, down
-    to a level below 0 and up to one above, or at ``horizon``.  Every jump is
-    down, so only a level below 0 can be jumped past; a passage up is a
-    creep.  Returns per-path arrays (tau, x, crossing): tau is NaN and
-    crossing "none" when the horizon comes first, and x is then the position
-    at the horizon; a creep records x = level exactly, a jump its landing
-    point.  With level -inf no path stops and x samples X_horizon.
+    to a level below 0 and up to one above, or at ``horizon[i]`` (a scalar
+    serves all).  Every jump is down, so only a level below 0 can be jumped
+    past; a passage up is a creep.  Returns per-path arrays (tau, x,
+    crossing): tau is NaN and crossing "none" when the horizon comes first,
+    and x is then the position there; a creep records x = level exactly, a
+    jump its landing point, and with level -inf x samples X at the horizon.
     ``purposes`` are the counter purposes of the normal, crossing and jump
     draws, so two runs over the same paths use independent numbers.
     """
@@ -242,9 +243,10 @@ def _simulate(
     drawn = list(purposes[: 3 if jumps else 2])
     sig = math.sqrt(m.sigma2)
     n = ids.size
+    horizon = np.broadcast_to(horizon, ids.shape)
     tau = np.full(n, np.nan)
     x_stop = np.zeros(n)
-    crossing = np.full(n, "none", dtype="<U5")
+    kind = np.zeros(n, dtype=np.int8)  # indexes _KINDS
 
     for first in range(0, n, _CAP):
         pos = np.arange(first, min(first + _CAP, n))
@@ -253,36 +255,33 @@ def _simulate(
         event, grow = 0, _FIRST_EVENTS
         while pos.size:
             k = pos.size
-            e = max(1, min(grow, _CAP // k)) if jumps else 1  # no jump: one segment
+            e = max(1, min(grow, _CAP // k)) if jumps else 1
             ua, ub = _uniforms(seed, drawn, event, e, ids[pos])
-            lv = level[pos][:, None]
-
-            # Segment clocks and endpoints, accumulated in event order so the
-            # values never depend on e.
-            if jumps:
-                gap = -np.log(ua[2]) / m.lam
-                shift = np.log(ub[2]) / m.rho  # the (negative) jump
-            else:
-                gap = np.full((k, e), np.inf)
-                shift = np.zeros((k, e))
-            clock = np.cumsum(np.concatenate((t[:, None], gap), axis=1), axis=1)
-            t0 = clock[:, :-1]
-            left = horizon - t0
-            fires = gap < left
-            alive = np.logical_and.accumulate(
-                np.concatenate((np.ones((k, 1), dtype=bool), fires[:, :-1]), axis=1), axis=1
-            )
-            seg = np.where(alive, np.minimum(gap, left), np.nan)
+            lv, hz = level[pos][:, None], horizon[pos][:, None]
             radius = np.sqrt(-2.0 * np.log(ua[0]))
             angle = (2.0 * math.pi) * ub[0]
-            walk = np.empty((k, 2 * e + 1))
-            walk[:, 0] = x
-            walk[:, 1::2] = m.mu * seg + sig * np.sqrt(seg) * (radius * np.cos(angle))
-            walk[:, 2::2] = shift
-            walk = np.cumsum(walk, axis=1)
-            x0, x1, xj = walk[:, :-1:2], walk[:, 1::2], walk[:, 2::2]
-            ended = alive & ~fires  # the segment ran to the horizon
-            reached = ended.any(axis=1)
+            normal = radius * np.cos(angle)
+            if jumps:
+                # Segment clocks and endpoints, accumulated in event order so
+                # the values never depend on e.
+                gap = -np.log(ua[2]) / m.lam
+                clock = np.cumsum(np.concatenate((t[:, None], gap), axis=1), axis=1)
+                t0 = clock[:, :-1]
+                left = hz - t0
+                fires = gap < left
+                alive = np.logical_and.accumulate(
+                    np.concatenate((np.ones((k, 1), dtype=bool), fires[:, :-1]), axis=1), axis=1
+                )
+                seg = np.where(alive, np.minimum(gap, left), np.nan)
+                walk = np.empty((k, 2 * e + 1))
+                walk[:, 0] = x
+                walk[:, 1::2] = m.mu * seg + sig * np.sqrt(seg) * normal
+                walk[:, 2::2] = np.log(ub[2]) / m.rho  # the (negative) jumps
+                walk = np.cumsum(walk, axis=1)
+                x0, x1, xj = walk[:, :-1:2], walk[:, 1::2], walk[:, 2::2]
+            else:  # one segment per path, to its horizon
+                t0, x0, seg = t[:, None], x[:, None], hz - t[:, None]
+                x1 = x0 + (m.mu * seg + sig * np.sqrt(seg) * normal)
 
             # First passage: a creep inside a segment, else a jump below.
             # d1, d2 are distances to the level, positive on the start side.
@@ -290,41 +289,52 @@ def _simulate(
             side = np.where(below, 1.0, -1.0)
             d1, d2 = side * (x0 - lv), side * (x1 - lv)
             creep = ua[1] < _bridge_touch(d1, d2, seg, m.sigma2)
-            crossed = alive & (creep | (fires & below & (xj <= lv)))
-            stops = crossed.any(axis=1)
-            ks = crossed.argmax(axis=1)
-            cr = np.flatnonzero(stops & creep[np.arange(k), ks])
-            kc = ks[cr]
-            s = _crossing_time(
-                d1[cr, kc], d2[cr, kc], seg[cr, kc],
-                radius[cr, kc] * np.sin(angle[cr, kc]), ub[1][cr, kc], m.sigma2,
-            )
-            tau[pos[stops]] = clock[stops, ks[stops] + 1]
-            x_stop[pos[stops]] = xj[stops, ks[stops]]
-            crossing[pos[stops]] = "jump"
-            tau[pos[cr]] = t0[cr, kc] + s
-            x_stop[pos[cr]] = lv[cr, 0]
-            crossing[pos[cr]] = "creep"
-            lost = ~stops & reached
-            x_stop[pos[lost]] = x1[lost, ended[lost].argmax(axis=1)]
+            if jumps:
+                crossed = alive & (creep | (fires & below & (xj <= lv)))
+                stops, ks = crossed.any(axis=1), crossed.argmax(axis=1)
+                crept = stops & creep[np.arange(k), ks]
+                tau[pos[stops]] = clock[stops, ks[stops] + 1]  # creeps are overwritten below
+                x_stop[pos[stops]] = xj[stops, ks[stops]]
+                kind[pos[stops]] = 2
+                ended = alive & ~fires  # the segment ran to the horizon
+                reached = ended.any(axis=1)
+                lost = np.flatnonzero(~stops & reached)
+            else:
+                stops = crept = creep[:, 0]
+                ks = np.zeros(k, dtype=np.intp)
+                lost = np.flatnonzero(~stops)
+            cr = np.flatnonzero(crept)
+            if cr.size:
+                kc = ks[cr]
+                s = _crossing_time(
+                    d1[cr, kc], d2[cr, kc], seg[cr, kc],
+                    radius[cr, kc] * np.sin(angle[cr, kc]), ub[1][cr, kc], m.sigma2,
+                )
+                tau[pos[cr]] = t0[cr, kc] + s
+                x_stop[pos[cr]] = lv[cr, 0]
+                kind[pos[cr]] = 1
+            if lost.size:
+                x_stop[pos[lost]] = x1[lost, ended[lost].argmax(axis=1) if jumps else 0]
+            if not jumps:
+                break  # every path crept or reached its horizon
 
-            keep = ~(stops | lost)
+            keep = ~(stops | reached)
             pos, t, x = pos[keep], clock[keep, e], walk[keep, 2 * e]
             event += e
             grow *= 2
-    return tau, x_stop, crossing
+    return tau, x_stop, _KINDS[kind]
 
 
 def _run_paths(
-    m: ModelParams, level, horizon: float, cfg: McConfig, ids: np.ndarray,
+    m: ModelParams, level, horizon, cfg: McConfig, ids: np.ndarray,
     purposes: tuple[int, int, int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_simulate`` of paths ``ids`` to ``level`` (one, or one per path), in
-    process or one pool worker per chunk of ``cfg.workers``."""
-    level = np.broadcast_to(np.asarray(level, dtype=float), ids.shape)
+    """``_simulate`` of paths ``ids`` to ``level`` and ``horizon`` (each one, or
+    one per path), in process or one pool worker per chunk of ``cfg.workers``."""
+    level, horizon = (np.broadcast_to(np.asarray(v, dtype=float), ids.shape) for v in (level, horizon))
     step = max(1, -(-ids.size // cfg.workers))
     chunks = [
-        (m, level[i : i + step], horizon, int(cfg.seed), ids[i : i + step], purposes)
+        (m, level[i : i + step], horizon[i : i + step], int(cfg.seed), ids[i : i + step], purposes)
         for i in range(0, ids.size, step)
     ]
     if len(chunks) <= 1:
@@ -370,31 +380,7 @@ def simulate_paths(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> Poli
     payoff by that return's likelihood ratio (exercise strictly before the
     last visit); survival mode leaves the weight to the closed form.
     """
-    if not (0.0 < a < min(c.strike, c.spot)):
-        raise ConfigError(
-            f"threshold must lie in (0, min(strike, spot)), got a={a} with strike={c.strike}, "
-            f"spot={c.spot}" + (": the spot is at or below the threshold" if c.spot <= a else "")
-        )
-    if cfg.horizon < 10.0 / m.r:
-        raise ConfigError(
-            f"horizon {cfg.horizon} too short: need >= 10/r = {10.0 / m.r:g} "
-            "so the truncation tail is negligible"
-        )
-    ids = np.arange(cfg.n_paths, dtype=np.uint64)
-    tau, x, crossing = _run_paths(m, math.log(a / c.spot), cfg.horizon, cfg, ids, _STOP)
-    returned = None
-    if cfg.mode is McMode.DIRECT_LAST_PASSAGE:
-        theta, psi, tilted = _tilt(m)
-        stopped = np.flatnonzero(crossing != "none")
-        rise = math.log(c.barrier / c.spot) - x[stopped]
-        back, _x, _kind = _run_paths(
-            tilted, rise, math.log(_RETURN_BIAS) / psi, cfg, ids[stopped], _RETURN
-        )
-        returned = np.zeros(cfg.n_paths)
-        returned[stopped] = np.exp(-theta * rise + psi * np.nan_to_num(back, nan=math.inf))
-    s_tau = np.where(crossing == "creep", a, c.spot * np.exp(x))
-    s_tau = np.where(crossing == "none", np.nan, s_tau)
-    return PolicyPaths(tau, s_tau, crossing, returned, cfg.horizon)
+    return simulate_stop_and_terminal(m, c, a, None, cfg)[0]
 
 
 def estimate_value(m: ModelParams, c: Contract, a: float, cfg: McConfig) -> McEstimate:
@@ -411,8 +397,56 @@ def estimate_discounted_terminal(
     it exercises the drift, the jump compounding, and the streams.  The
     kernel runs with no threshold, so every path reports X_t.
     """
-    if not (t > 0.0):
-        raise ConfigError(f"sampling time must be positive, got t={t}")
-    ids = np.arange(cfg.n_paths, dtype=np.uint64)
-    x = _run_paths(m, -math.inf, t, cfg, ids, _STOP)[1]
-    return McEstimate.from_sample(math.exp(-m.r * t) * c.spot * np.exp(x))
+    return simulate_stop_and_terminal(m, c, None, t, cfg)[1]
+
+
+def simulate_stop_and_terminal(
+    m: ModelParams, c: Contract, a: float | None, t: float | None, cfg: McConfig
+) -> tuple[PolicyPaths | None, McEstimate | None]:
+    """``simulate_paths(m, c, a, cfg)`` and ``estimate_discounted_terminal(m,
+    c, t, cfg)`` in one kernel pass, either None where its ``a`` or ``t`` is.
+    The terminal paths are the stop paths' ids again, on the same counters,
+    with level -inf and horizon ``t``, so each result is bit for bit what its
+    own call gives."""
+    n = cfg.n_paths
+    levels, horizons = [], []
+    if a is not None:
+        if not (0.0 < a < min(c.strike, c.spot)):
+            raise ConfigError(
+                f"threshold must lie in (0, min(strike, spot)), got a={a} with strike={c.strike}, "
+                f"spot={c.spot}" + (": the spot is at or below the threshold" if c.spot <= a else "")
+            )
+        if cfg.horizon < 10.0 / m.r:
+            raise ConfigError(
+                f"horizon {cfg.horizon} too short: need >= 10/r = {10.0 / m.r:g} "
+                "so the truncation tail is negligible"
+            )
+        levels.append(math.log(a / c.spot))
+        horizons.append(cfg.horizon)
+    if t is not None:
+        if not (t > 0.0):
+            raise ConfigError(f"sampling time must be positive, got t={t}")
+        levels.append(-math.inf)
+        horizons.append(t)
+    ids = np.arange(n, dtype=np.uint64)
+    if len(levels) > 1:  # one group broadcasts; two are spelled out per path
+        levels, horizons, ids = np.repeat(levels, n), np.repeat(horizons, n), np.tile(ids, 2)
+    tau, x, crossing = _run_paths(m, levels, horizons, cfg, ids, _STOP)
+    terminal = None if t is None else McEstimate.from_sample(math.exp(-m.r * t) * c.spot * np.exp(x[-n:]))
+    if a is None:
+        return None, terminal
+
+    tau, x, crossing = tau[:n], x[:n], crossing[:n]
+    returned = None
+    if cfg.mode is McMode.DIRECT_LAST_PASSAGE:
+        theta, psi, tilted = _tilt(m)
+        stopped = np.flatnonzero(crossing != "none")
+        rise = math.log(c.barrier / c.spot) - x[stopped]
+        back, _x, _kind = _run_paths(
+            tilted, rise, math.log(_RETURN_BIAS) / psi, cfg, ids[stopped], _RETURN
+        )
+        returned = np.zeros(n)
+        returned[stopped] = np.exp(-theta * rise + psi * np.nan_to_num(back, nan=math.inf))
+    s_tau = np.where(crossing == "creep", a, c.spot * np.exp(x))
+    s_tau = np.where(crossing == "none", np.nan, s_tau)
+    return PolicyPaths(tau, s_tau, crossing, returned, cfg.horizon), terminal

@@ -15,7 +15,7 @@ has two terms.  Every root and coefficient is algebraic: no iteration.
 import math
 
 from ._record import Record
-from .errors import DegenerateRoots, DomainError
+from .errors import DegenerateRoots
 from .model import ModelParams
 
 #: Two roots closer than this are treated as coincident.
@@ -110,31 +110,3 @@ def basis_for(m: ModelParams) -> ScaleBasis:
     etas = (1.0, eta_lo, eta_hi)
     coeffs = _partial_fraction_weights(etas, (1.0 + m.rho, off_lo, off_hi), s2)
     return ScaleBasis(etas, coeffs)
-
-
-def _in_range(name: str, x: float, evaluate) -> float:
-    """The range rule of W: ``evaluate()``, or a :class:`DomainError` naming
-    ``x`` where that overflows the float range.  W grows like c1 e^x, so that
-    is where c1 e^x does, or from x = 709.78 on, where e^x itself does."""
-    try:
-        value = evaluate()
-    except OverflowError:
-        value = math.inf
-    if not abs(value) < math.inf:
-        raise DomainError(f"{name} at x={x} is beyond the float range")
-    return value
-
-
-def w_r(b: ScaleBasis, x: float) -> float:
-    """W at ``x``; zero for ``x < 0`` by convention.
-
-    Evaluated as e^x * (c1 + sum_i c_i e^{(eta_i - 1) x}): every eta_i <= 1,
-    so e^x is the only factor that grows.
-    """
-    if x < 0.0:
-        return 0.0
-    acc = 0.0
-    for ei, ci in zip(b.eta, b.c):
-        acc += ci * math.exp((ei - 1.0) * x)
-    return _in_range("W", x, lambda: math.exp(x) * acc)
-

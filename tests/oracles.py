@@ -12,6 +12,9 @@ first 1,000 box draws, they agree for every rho >= 0.1, for 40 of 81 draws
 with rho in [0.01, 0.1), and for none below.  The nodes' shrink factors and
 weights depend only on the node count and rho, and are cached per pair.
 
+``w_r`` evaluates the scale function W itself, which the package reads
+only through its closed forms.
+
 ``bs_reference`` re-derives the jump-free anchors: the two-exponent
 threshold and value of the cancellable put, and the plain perpetual put.
 """
@@ -26,6 +29,7 @@ import numpy as np
 from cancelput.errors import DomainError
 from cancelput.model import ModelParams
 from cancelput.pricer import Contract
+from cancelput.scale import ScaleBasis
 
 #: Relative steps of the central-difference ladders used by generator_apply.
 _D1_STEPS = (1e-4, 5e-5, 2.5e-5)
@@ -147,3 +151,30 @@ def bs_reference(m: ModelParams, c: Contract) -> BsReference:
     coef = -(1.0 / eta2) * (k / (1.0 - 1.0 / eta2)) ** (1.0 - eta2)
     plain = coef * s0**eta2
     return BsReference(a_star_bs=a_star, value_bs=value, plain_put=plain)
+
+
+def _in_range(name: str, x: float, evaluate) -> float:
+    """The range rule of W: ``evaluate()``, or a :class:`DomainError` naming
+    ``x`` where that overflows the float range.  W grows like c1 e^x, so that
+    is where c1 e^x does, or from x = 709.78 on, where e^x itself does."""
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if not abs(value) < math.inf:
+        raise DomainError(f"{name} at x={x} is beyond the float range")
+    return value
+
+
+def w_r(b: ScaleBasis, x: float) -> float:
+    """W at ``x``; zero for ``x < 0`` by convention.
+
+    Evaluated as e^x * (c1 + sum_i c_i e^{(eta_i - 1) x}): every eta_i <= 1,
+    so e^x is the only factor that grows.
+    """
+    if x < 0.0:
+        return 0.0
+    acc = 0.0
+    for ei, ci in zip(b.eta, b.c):
+        acc += ci * math.exp((ei - 1.0) * x)
+    return _in_range("W", x, lambda: math.exp(x) * acc)

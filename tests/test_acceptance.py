@@ -33,8 +33,8 @@ from cancelput.pricer import (
     price,
     value_at_threshold,
 )
-from cancelput.scale import basis_for, w_r
-from oracles import bs_reference, generator_apply
+from cancelput.scale import basis_for
+from oracles import bs_reference, generator_apply, w_r
 
 C = Contract(strike=100.0, barrier=120.0, spot=110.0)
 

@@ -957,14 +957,21 @@ def test_usage_error_is_a_json_config_error(argv, message, capsys):
 
 
 def test_negative_spot_in_exponent_form_is_a_json_error(capsys):
-    # Older argparse reads -1e-05 as a flag, so --spot lacks its value (a
-    # usage error); newer argparse reads it as the spot, which is invalid.
+    # -1e-05 is the spot's value, not a flag, so the spot is what is refused.
     code, doc = run_json(["price", *BASE[:-1], "-1e-05"], capsys)
     assert code == 2
-    assert (doc["error"]["type"], doc["error"]["message"]) in {
-        ("ConfigError", "argument --spot: expected one argument"),
-        ("InvalidParams", "spot must be positive and finite, got -1e-05"),
-    }
+    assert doc["error"] == {"type": "InvalidParams",
+                            "message": "spot must be positive and finite, got -1e-05"}
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-1E5", "-2.5e+3", "-.5e-3", "-3e0"])
+@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+def test_negative_spot_in_each_exponent_form_is_invalid_params(value, joined, capsys):
+    argv = ["price", *BASE[:-2], *([f"--spot={value}"] if joined else ["--spot", value])]
+    code, doc = run_json(argv, capsys)
+    assert code == 2
+    assert doc["error"] == {"type": "InvalidParams",
+                            "message": f"spot must be positive and finite, got {float(value)}"}
 
 
 def test_help_exits_0(capsys):

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from cancelput import diagnostics, pricer
+from cancelput import diagnostics, mc, pricer
 from cancelput.mc import McConfig
 from cancelput.model import make_model
 from cancelput.pricer import Contract
@@ -263,3 +263,41 @@ def test_undershoot_law_reports_too_few_jump_crossings(contract):
     ]
     assert res.passed and res.note == "too few jump crossings to test"
     assert res.observed < 30.0 == res.bound
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
+def test_mc_suite_rows_equal_those_of_separate_runs(model, workers, request, contract, monkeypatch):
+    # The suite's one kernel pass holds the stop paths and the martingale
+    # check's terminal paths; run apart, each gives the same rows bit for bit.
+    m = request.getfixturevalue(model)
+    fused = mc.simulate_stop_and_terminal
+    for seed in range(1, 6):
+        cfg = McConfig(n_paths=200, horizon=200.0, seed=seed, workers=workers)
+        rows = diagnostics.mc_suite(m, contract, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "simulate_stop_and_terminal", lambda m, c, a, t, cfg: (
+                fused(m, c, a, None, cfg)[0], fused(m, c, None, t, cfg)[1]))
+            assert diagnostics.mc_suite(m, contract, cfg) == rows
+
+
+@pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
+def test_mc_suite_makes_two_kernel_passes(model, request, contract, monkeypatch):
+    # The stop and terminal paths in one pass, the direct mode's return in the other.
+    calls = []
+    run_paths = mc._run_paths
+    monkeypatch.setattr(mc, "_run_paths", lambda *args: calls.append(args) or run_paths(*args))
+    diagnostics.mc_suite(request.getfixturevalue(model), contract, McConfig(400, 200.0, 1))
+    assert len(calls) == 2
+
+
+def test_mode_agreement_band_survives_a_payoff_below_1e_154():
+    # With the barrier at 1e308 every payoff is near 1e-284, whose squared
+    # deviations underflow; the standard error is read from the rescaled
+    # sample instead of as 0.  The check itself still fails: the return
+    # run's cut-off is absolute, so every direct weight here is 0.
+    m = make_model(r=0.05, sigma2=0.2, lam=5.0, rho=2.0)
+    c = Contract(strike=100.0, barrier=1e308, spot=110.0)
+    (res,) = [res for res in diagnostics.mc_suite(m, c, McConfig(400, 200.0, 3)) if res.name == AGREE]
+    assert not res.passed
+    assert res.bound / 3.0 == pytest.approx(1.5e-284, rel=0.01)

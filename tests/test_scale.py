@@ -12,7 +12,8 @@ import cancelput
 from cancelput.errors import CancelPutError, DegenerateRoots, DomainError
 from cancelput.model import laplace_exponent, make_model
 from cancelput.pricer import Contract, price
-from cancelput.scale import ScaleBasis, _partial_fraction_weights, basis_for, w_r
+from cancelput.scale import ScaleBasis, _partial_fraction_weights, basis_for
+from oracles import w_r
 from test_domain import _draws
 
 REL = 1e-12
