@@ -215,9 +215,10 @@ def mc_suite(m: ModelParams, c: Contract, cfg: McConfig) -> list[CheckResult]:
         )
 
     if m.lam > 0.0:
-        landed = paths.s_tau[paths.crossing == "jump"]
+        # Read from the log position: s_tau underflows to 0 below the float range.
+        landed = paths.x_tau[paths.crossing == "jump"]
         if landed.size >= 30:
-            u = McEstimate.from_sample(np.log(a_star / landed))
+            u = McEstimate.from_sample(math.log(a_star / c.spot) - landed)
             out.append(
                 _check(
                     "undershoot law (mean vs 1/rho)",

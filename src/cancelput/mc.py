@@ -99,11 +99,20 @@ class McEstimate:
         """Mean and standard error of a per-path sample (pairwise summation,
         so the figures do not depend on how the paths were chunked); below
         about 1e-154 squares underflow, so it rescales by a power of two."""
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+        mean, sd = _mean_sd(vals)
+        stderr = float(sd / math.sqrt(vals.size))
         if stderr < 1e-150 and vals.any():  # an all-zero sample is exact as it is
             shift = math.frexp(float(np.max(np.abs(vals))))[1]
-            stderr = math.ldexp(float(np.std(np.ldexp(vals, -shift), ddof=1) / math.sqrt(vals.size)), shift)
-        return cls(float(np.mean(vals)), stderr, int(vals.size), truncation_bound)
+            stderr = math.ldexp(float(_mean_sd(np.ldexp(vals, -shift))[1] / math.sqrt(vals.size)), shift)
+        return cls(float(mean), stderr, int(vals.size), truncation_bound)
+
+
+def _mean_sd(vals: np.ndarray) -> tuple[np.float64, np.float64]:
+    """``np.mean(vals)`` and ``np.std(vals, ddof=1)`` bit for bit, from one sum
+    of the sample and one of its squared deviations."""
+    mean = np.add.reduce(vals) / vals.size
+    dev = vals - mean
+    return mean, np.sqrt(np.add.reduce(dev * dev) / (vals.size - 1))
 
 
 @dataclass(frozen=True)
@@ -111,28 +120,34 @@ class PolicyPaths:
     """Per-path outcome of one run of the stop-below-``a`` policy.
 
     ``tau`` and ``s_tau`` are NaN where the horizon came first, and
-    ``crossing`` holds "none", "creep" or "jump".  In direct mode
-    ``returned`` is each path's weight for returning to the barrier after
-    it stopped: e^{-theta (h - X_tau) + psi(theta) T} for a return at time
-    T under the tilt (see ``_tilt``), 0 for a path that never stopped or
-    did not return before the cut-off.  It is None in survival mode.
+    ``crossing`` holds "none", "creep" or "jump".  ``x_tau`` is the log
+    position log(S/s0) the kernel stopped at, at the horizon where that came
+    first; it stays finite where a jump lands so far down that ``s_tau``
+    underflows to 0.  ``discount`` is e^{-r tau} under the run's model, 0
+    where the horizon came first.  In direct mode ``returned`` is each
+    path's weight for returning to the barrier after it stopped:
+    e^{-theta (h - X_tau) + psi(theta) T} for a return at time T under the
+    tilt (see ``_tilt``), 0 for a path that never stopped or did not return
+    before the cut-off.  It is None in survival mode.
     """
 
     tau: np.ndarray
+    discount: np.ndarray
     s_tau: np.ndarray
+    x_tau: np.ndarray
     crossing: np.ndarray
     returned: np.ndarray | None
     horizon: float
 
     def payoffs(self, m: ModelParams, c: Contract) -> np.ndarray:
         """Per-path discounted put payoff at the stop, weighted by the
-        survival factor min((h/S_tau)^alpha, 1) in survival mode, by
-        ``returned`` in direct mode; paths the horizon cut pay nothing."""
-        discount = np.exp(-m.r * np.nan_to_num(self.tau, nan=math.inf))
-        s_tau = np.nan_to_num(self.s_tau, nan=c.strike)
-        pay = discount * np.maximum(c.strike - s_tau, 0.0)
+        survival factor min((h/S_tau)^alpha, 1), read from ``x_tau``, in
+        survival mode, by ``returned`` in direct mode; paths the horizon cut
+        pay nothing."""
+        pay = self.discount * np.fmax(c.strike - self.s_tau, 0.0)
         if self.returned is None:
-            return pay * np.minimum((c.barrier / s_tau) ** m.alpha, 1.0)
+            rise = math.log(c.barrier / c.spot) - self.x_tau  # log(h/S_tau)
+            return pay * np.exp(np.minimum(m.alpha * rise, 0.0))
         return pay * self.returned
 
     def value(self, m: ModelParams, c: Contract) -> McEstimate:
@@ -143,10 +158,9 @@ class PolicyPaths:
         """E[e^{-r tau}] split into creep and jump crossings; paths the
         horizon cut count in neither, so the two means add up to the
         discounted passage factor."""
-        discount = np.exp(-m.r * np.nan_to_num(self.tau, nan=math.inf))
         bound = math.exp(-m.r * self.horizon)
         creep, jump = (
-            McEstimate.from_sample(np.where(self.crossing == kind, discount, 0.0), bound)
+            McEstimate.from_sample(np.where(self.crossing == kind, self.discount, 0.0), bound)
             for kind in ("creep", "jump")
         )
         return creep, jump
@@ -447,6 +461,7 @@ def simulate_stop_and_terminal(
         )
         returned = np.zeros(n)
         returned[stopped] = np.exp(-theta * rise + psi * np.nan_to_num(back, nan=math.inf))
+    discount = np.exp(-m.r * np.where(np.isnan(tau), math.inf, tau))
     s_tau = np.where(crossing == "creep", a, c.spot * np.exp(x))
     s_tau = np.where(crossing == "none", np.nan, s_tau)
-    return PolicyPaths(tau, s_tau, crossing, returned, cfg.horizon), terminal
+    return PolicyPaths(tau, discount, s_tau, x, crossing, returned, cfg.horizon), terminal

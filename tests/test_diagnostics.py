@@ -5,10 +5,12 @@ smooth-fit and first-order readings, the grids at the top of the float
 range, and the Monte Carlo suite's mode agreement."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
+from box import case, draws
 from cancelput import diagnostics, mc, pricer
 from cancelput.mc import McConfig
 from cancelput.model import make_model
@@ -249,6 +251,19 @@ def test_mode_agreement_catches_a_survival_weight_off_by_two_percent(model, requ
     assert agree(m).passed
     off = agree(m._replace(alpha=1.02 * m.alpha))
     assert not off.passed and off.observed > off.bound
+
+
+@pytest.mark.parametrize("index", [9, 12, 21])
+def test_undershoot_law_reads_jumps_that_land_below_the_float_range(index):
+    # Box draws whose jumps land so far below a* that s0 e^x underflows to 0:
+    # the undershoot and the survival weight are read from the log position,
+    # so the row is finite and numpy warns of no division by zero.
+    params, barrier_ratio, _spot_ratio = next(itertools.islice(draws(), index, None))
+    m, _b, c, a = case(params, barrier_ratio)
+    c = c._replace(spot=min(1.3 * a, c.barrier))
+    cfg = McConfig(400, max(200.0, 10.0 / m.r), index + 1)  # the horizon validate uses
+    (res,) = [res for res in diagnostics.mc_suite(m, c, cfg) if res.name.startswith("undershoot law")]
+    assert res.passed and math.isfinite(res.observed) and math.isfinite(res.bound)
 
 
 def test_undershoot_law_reports_too_few_jump_crossings(contract):

@@ -1,10 +1,8 @@
-"""Root and threshold accuracy across the documented parameter domain,
-against mpmath, and the analytic suite's verdicts over the same draws.
+"""Root and threshold accuracy across the documented parameter domain
+(``box.py``), against mpmath, and the analytic suite's verdicts over the
+same draws.
 
-The box is r in [1e-4, 0.5], sigma2 in [1e-8, 2], lambda = 0 (one draw in
-five) or lambda in [1e-7, 50], rho in [1e-5, 50], K = 100, h/K in
-[1.0001, 3] and s0/a* in [1, 1e80], every range drawn log-uniformly.  The
-oracle below solves the same quadratics in 60-digit arithmetic from the
+The oracle below solves the same quadratics in 60-digit arithmetic from the
 float inputs and the exact martingale drift, and forms a* from the
 first-order condition summed over both negative roots; it shares no code
 with the package.
@@ -13,24 +11,22 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 
 import mpmath
 import pytest
 
+from box import DRAWS, STRIKE, case, draws
 from cancelput.diagnostics import analytic_suite
 from cancelput.errors import CancelPutError
 from cancelput.model import make_model
 from cancelput.pricer import Contract, optimal_threshold, price
 from cancelput.scale import basis_for
 
-DRAWS = 2_000
 ROOT_REL = 1e-12
 ETA_REL = 1e-14
 COEF_REL = 1e-13
 ETA2_ULPS = 4.0
 ASTAR_REL = 3e-15
-STRIKE = 100.0
 
 
 def _oracle(r, sigma2, lam, rho):
@@ -90,19 +86,6 @@ def _threshold_oracle(r, sigma2, lam, rho, alpha, negative, coeffs):
 
 def _rel(x, ref):
     return float(abs((mpmath.mpf(x) - ref) / ref))
-
-
-def _draws():
-    rng = random.Random(11)
-
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-    for _ in range(DRAWS):
-        r, sigma2 = log_uniform(1e-4, 0.5), log_uniform(1e-8, 2.0)
-        lam = 0.0 if rng.random() < 0.2 else log_uniform(1e-7, 50.0)
-        rho = log_uniform(1e-5, 50.0)
-        yield (r, sigma2, lam, rho), log_uniform(1.0001, 3.0), log_uniform(1.0, 1e80)
 
 
 def _root_errors(params):
@@ -170,13 +153,10 @@ def test_roots_match_the_oracle_on_named_sets(params):
 def test_roots_match_the_oracle_across_the_box():
     worst = {"alpha": 0.0, "c": 0.0, "a_star": 0.0, "eta": 0.0, "eta2_ulps": 0.0}
     outcomes = {"priced": 0, "refused": 0}
-    for params, barrier_ratio, spot_ratio in _draws():
+    for params, barrier_ratio, spot_ratio in draws():
         try:
-            m = make_model(*params)
-            b = basis_for(m)
-            c = Contract(strike=100.0, barrier=100.0 * barrier_ratio, spot=100.0)
-            a_star = optimal_threshold(b, m, c)
-            rep = price(b, m, Contract(c.strike, c.barrier, a_star * spot_ratio))
+            m, b, c, a_star = case(params, barrier_ratio)
+            rep = price(b, m, c._replace(spot=a_star * spot_ratio))
         except CancelPutError:
             outcomes["refused"] += 1
             continue
@@ -193,12 +173,10 @@ def test_analytic_suite_passes_wherever_the_box_prices():
     # The first 500 draws at spot a* (s0/a*): every draw that prices runs the
     # whole suite without raising, and every check passes.
     checked = 0
-    for params, barrier_ratio, spot_ratio in itertools.islice(_draws(), 500):
+    for params, barrier_ratio, spot_ratio in itertools.islice(draws(), 500):
         try:
-            m = make_model(*params)
-            b = basis_for(m)
-            c = Contract(strike=100.0, barrier=100.0 * barrier_ratio, spot=100.0)
-            c = c._replace(spot=optimal_threshold(b, m, c) * spot_ratio)
+            m, b, c, a_star = case(params, barrier_ratio)
+            c = c._replace(spot=a_star * spot_ratio)
             price(b, m, c)
         except CancelPutError:
             continue
@@ -209,7 +187,7 @@ def test_analytic_suite_passes_wherever_the_box_prices():
 
 
 def test_analytic_suite_passes_on_box_draw_1484():
-    # Draw 1,484 of _draws(), set up as in the sweep above.  Its coefficients
+    # Draw 1,484 of box.draws(), set up as in the sweep above.  Its coefficients
     # (15.03, -3.78, -11.25) sum to 4.6e-14, their rounding, which a scan of
     # W read as a dip of 1.5e-15 below zero at x = 0; that sum is the
     # coefficient check's to judge, and every slope c_i eta_i is positive.

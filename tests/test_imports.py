@@ -62,6 +62,27 @@ def test_the_scan_sees_every_form_of_private_import():
     ]
 
 
+def _modules(node: ast.AST) -> list[str]:
+    """The modules an absolute import statement names; [] for other nodes."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module or ""]
+    return []
+
+
+def test_no_test_module_imports_another():
+    # Code that tests share lives in box.py, oracles.py and conftest.py.
+    found = [
+        f"{path.name}:{node.lineno}: {name}"
+        for path in sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _modules(node)
+        if name.startswith("test_")
+    ]
+    assert found == []
+
+
 #: The modules ``import cancelput`` may load of its own: the closed form.
 CLOSED_FORM = {f"cancelput{m}" for m in ("", "._record", ".errors", ".model", ".scale", ".pricer")}
 #: Never loaded by the import: code generated at import time (dataclasses,
@@ -102,13 +123,7 @@ def _numpy_imports(source: str) -> list[str]:
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and not child.level:
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            if any(n == "numpy" or n.startswith("numpy.") for n in _modules(child)):
                 found.append(f"{child.lineno}: {scope}")
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else scope)

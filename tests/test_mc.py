@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from box import case, draws, mc_strategy
 from cancelput import mc
 from cancelput.errors import CancelPutError, ConfigError
 from cancelput.mc import (
@@ -28,9 +29,7 @@ from cancelput.mc import (
     simulate_paths,
 )
 from cancelput.model import ModelParams, laplace_exponent, make_model
-from cancelput.pricer import Contract, grid_search_threshold, optimal_threshold
-from cancelput.scale import basis_for
-from test_domain import _draws
+from cancelput.pricer import Contract, grid_search_threshold
 
 A_STAR_NOJUMP = 50.0
 VALUE_NOJUMP = 21.759706994462224
@@ -50,7 +49,9 @@ def _same_paths(p, q) -> bool:
     """Two path records hold the same numbers bit for bit (NaN equal to NaN)."""
     return (
         np.array_equal(p.tau, q.tau, equal_nan=True)
+        and np.array_equal(p.discount, q.discount)
         and np.array_equal(p.s_tau, q.s_tau, equal_nan=True)
+        and np.array_equal(p.x_tau, q.x_tau)
         and np.array_equal(p.crossing, q.crossing)
         and (p.returned is None) == (q.returned is None)
         and (p.returned is None or np.array_equal(p.returned, q.returned))
@@ -360,34 +361,18 @@ def test_traces_bit_identical_across_workers(model_jumps, contract):
             assert _same_paths(many, one)
 
 
-def _log_uniform(lo: float, hi: float):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
-
-
 @settings(max_examples=8, derandomize=True, database=None, deadline=None)
-@given(
-    r=_log_uniform(1e-4, 0.5),
-    sigma2=_log_uniform(1e-8, 2.0),
-    lam=st.one_of(st.just(0.0), _log_uniform(1e-7, 10.0)),
-    rho=_log_uniform(0.1, 50.0),
-    barrier_ratio=_log_uniform(1.0001, 3.0),
-    n_paths=st.integers(100, 400),
-    seed=st.integers(0, 2**64 - 1),
-)
-def test_paths_bit_identical_across_workers_over_the_box(
-    r, sigma2, lam, rho, barrier_ratio, n_paths, seed
-):
-    # tests/test_domain.py's box, cut to lambda <= 10 and rho >= 0.1 so that
-    # no draw runs long, with the spot at min(1.3 a*, h).  Sets that do not
-    # price (an upward drift) are not drawn.
+@given(draw=mc_strategy(), n_paths=st.integers(100, 400), seed=st.integers(0, 2**64 - 1))
+def test_paths_bit_identical_across_workers_over_the_box(draw, n_paths, seed):
+    # The spot at min(1.3 a*, h); sets that do not price (an upward drift)
+    # are not drawn.
+    params, barrier_ratio = draw
     try:
-        m = make_model(r, sigma2, lam, rho)
-        c = Contract(strike=100.0, barrier=100.0 * barrier_ratio, spot=100.0)
-        a = optimal_threshold(basis_for(m), m, c)
+        m, _b, c, a = case(params, barrier_ratio)
     except CancelPutError:
         assume(False)
     c = c._replace(spot=min(1.3 * a, c.barrier))
-    cfg = McConfig(n_paths=n_paths, horizon=max(200.0, 10.0 / r), seed=seed)
+    cfg = McConfig(n_paths=n_paths, horizon=max(200.0, 10.0 / m.r), seed=seed)
     one = simulate_paths(m, c, a, cfg)
     assert _same_paths(simulate_paths(m, c, a, dataclasses.replace(cfg, workers=2)), one)
 
@@ -497,7 +482,7 @@ def test_tilt_is_seven_eighths_of_the_root_across_the_box():
     # q = -alpha, lies in (q/2, q), where psi(t)/t is concave and rising, so
     # psi(theta) < 0 < psi'(theta) with no search.
     built = 0
-    for params, _barrier_ratio, _spot_ratio in _draws():
+    for params, _barrier_ratio, _spot_ratio in draws():
         try:
             m = make_model(*params)
         except CancelPutError:

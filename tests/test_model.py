@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from cancelput.errors import DegenerateCancellation, InvalidParams, PoleError
+from box import draws
+from cancelput.errors import CancelPutError, DegenerateCancellation, InvalidParams, PoleError
 from cancelput.model import ModelParams, laplace_exponent, make_model
 
 REL = 1e-12
@@ -84,19 +85,12 @@ def test_direct_construction_skips_validation():
 
 
 def test_alpha_in_open_interval_across_random_parameters():
-    # Sweep a seeded cloud of admissible parameters; alpha must always land
-    # strictly inside (-1, 0) and kill the Laplace exponent.
-    import numpy as np
-
-    rng = np.random.default_rng(314159)
-    for _ in range(100):
-        r = float(rng.uniform(0.01, 0.15))
-        sigma2 = float(rng.uniform(0.05, 0.8))
-        lam = float(rng.uniform(0.0, 8.0))
-        rho = float(rng.uniform(0.3, 6.0))
-        mu = r - sigma2 / 2.0 + (lam / (1.0 + rho) if lam > 0 else 0.0)
-        if mu - (lam / rho if lam > 0 else 0.0) >= 0.0:
+    # Across the box, alpha must always land strictly inside (-1, 0) and
+    # kill the Laplace exponent.
+    for params, _barrier_ratio, _spot_ratio in draws():
+        try:
+            m = make_model(*params)
+        except CancelPutError:
             continue
-        m = make_model(r=r, sigma2=sigma2, lam=lam, rho=rho)
         assert -1.0 < m.alpha < 0.0
         assert abs(laplace_exponent(m, -m.alpha)) <= 1e-12

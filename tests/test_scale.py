@@ -9,12 +9,12 @@ import pytest
 from scipy.integrate import quad
 
 import cancelput
+from box import draws
 from cancelput.errors import CancelPutError, DegenerateRoots, DomainError
 from cancelput.model import laplace_exponent, make_model
 from cancelput.pricer import Contract, price
 from cancelput.scale import ScaleBasis, _partial_fraction_weights, basis_for
 from oracles import w_r
-from test_domain import _draws
 
 REL = 1e-12
 
@@ -205,7 +205,7 @@ def test_jump_basis_equals_the_loop_reference_across_the_box():
     # a = r + j - sigma2 rho/2, so both orders of the offsets are exercised.
     signs = set()
     compared = 0
-    for params, _, _ in _draws():
+    for params, _, _ in draws():
         try:
             m = make_model(*params)
         except CancelPutError:
