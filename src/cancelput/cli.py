@@ -34,6 +34,7 @@ _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
 _EXIT_BAD_INPUT = 2
 _EXIT_IO = 3
+_EXIT_CRASH = 4
 
 
 def _mode(raw: str) -> str:
@@ -425,6 +426,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    except Exception:  # a fault of the program, not of its input: keep it apart from a FAILed check
+        import traceback
+
+        traceback.print_exc()
+        return _EXIT_CRASH
 
 
 if __name__ == "__main__":

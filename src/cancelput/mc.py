@@ -5,9 +5,10 @@ no time grid (Metwally & Atiya 2002).  Jump gaps and sizes are
 exponential; each Brownian segment between jumps draws its endpoint, then
 whether its bridge crept through the level, then when.  One kernel, the
 first passage of a level by a horizon, serves every run: the stop and, in
-the same pass, the terminal sampler, then direct mode's return to the
-barrier under an Esscher tilt (see ``_tilt``).  It moves a chunk's active
-paths a block of jump epochs per numpy step; without jumps, one segment.
+the same pass, the terminal sampler and, without jumps, direct mode's return
+to the barrier under an Esscher tilt (see ``_tilt``); with jumps the return
+is a second pass over the stopped paths.  It moves a chunk's active paths a
+block of jump epochs per numpy step; without jumps, one segment.
 
 Randomness is counter-based: every random word is Philox4x32-10 (Salmon
 et al., SC'11) of the counter (event, purpose, path) under the 64-bit seed
@@ -20,6 +21,7 @@ summation, so they are bit-identical for any worker count.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -40,9 +42,10 @@ _MAX_WORKERS = 64
 #: weight e^{-theta l + psi(theta) T} is below this: it bounds the bias.
 _RETURN_BIAS = 1e-12
 
-# Counter purposes of a run's (normal, crossing, jump) draws: each yields
-# two uniforms per (event, path).
-_STOP, _RETURN = (0, 1, 2), (3, 4, 5)
+# First counter purposes of a run: its (normal, crossing, jump) draws take
+# purposes p, p + 1, p + 2, each two uniforms per (event, path).
+_STOP, _RETURN = 0, 3
+_DRAWS = np.arange(3, dtype=np.uint64)[:, None]
 _KINDS = np.array(["none", "creep", "jump"])  # crossings by the kernel's codes
 
 _PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
@@ -166,6 +169,15 @@ class PolicyPaths:
         return creep, jump
 
 
+@functools.lru_cache(maxsize=16)
+def _round_keys(k0: int, k1: int) -> tuple[tuple[np.uint64, np.uint64], ...]:
+    """The ten round keys of Philox4x32-10 under key words (k0, k1)."""
+    return tuple(
+        (np.uint64((k0 + i * _PHILOX_W0) & 0xFFFFFFFF), np.uint64((k1 + i * _PHILOX_W1) & 0xFFFFFFFF))
+        for i in range(10)
+    )
+
+
 def _philox4x32(counter, key: tuple[int, int]):
     """Philox4x32-10 of four 32-bit counter words under two 32-bit key words.
 
@@ -173,18 +185,10 @@ def _philox4x32(counter, key: tuple[int, int]):
     output words as uint64 arrays holding 32-bit values.
     """
     c0, c1, c2, c3 = (np.asarray(w, dtype=np.uint64) for w in counter)
-    k0, k1 = key
-    for _ in range(10):
+    for k0, k1 in _round_keys(*key):
         p0 = _PHILOX_M0 * c0
         p1 = _PHILOX_M1 * c2
-        c0, c1, c2, c3 = (
-            (p1 >> _SHIFT32) ^ c1 ^ np.uint64(k0),
-            p1 & _LO32,
-            (p0 >> _SHIFT32) ^ c3 ^ np.uint64(k1),
-            p0 & _LO32,
-        )
-        k0 = (k0 + _PHILOX_W0) & 0xFFFFFFFF
-        k1 = (k1 + _PHILOX_W1) & 0xFFFFFFFF
+        c0, c1, c2, c3 = (p1 >> _SHIFT32) ^ c1 ^ k0, p1 & _LO32, (p0 >> _SHIFT32) ^ c3 ^ k1, p0 & _LO32
     return c0, c1, c2, c3
 
 
@@ -195,18 +199,14 @@ def _unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(
-    seed: int, purposes: list[int], event: int, n_events: int, ids: np.ndarray
+    seed: int, purposes: np.ndarray, event: int, n_events: int, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two uniform arrays shaped (purpose, path, event): each counter's four
-    words make two uniforms."""
+    """Two uniform arrays shaped (purpose, path, event) from the counter
+    purposes shaped (purpose, path): each counter's four words make two
+    uniforms."""
     events = np.arange(event, event + n_events, dtype=np.uint64)
     w0, w1, w2, w3 = _philox4x32(
-        (
-            events[None, None, :],
-            np.array(purposes, dtype=np.uint64)[:, None, None],
-            (ids & _LO32)[None, :, None],
-            (ids >> _SHIFT32)[None, :, None],
-        ),
+        (events, purposes[:, :, None], (ids & _LO32)[:, None], (ids >> _SHIFT32)[:, None]),
         (seed & 0xFFFFFFFF, seed >> 32),
     )
     return _unit(w0, w1), _unit(w2, w3)
@@ -238,26 +238,27 @@ def _crossing_time(
 
 
 def _simulate(
-    m: ModelParams, level: np.ndarray, horizon: np.ndarray | float, seed: int, ids: np.ndarray,
-    purposes: tuple[int, int, int],
+    m: ModelParams, level, horizon, seed: int, ids: np.ndarray, purpose, drift=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate paths ``ids``, each started at x = 0, to its first passage.
 
-    Path ``ids[i]`` stops at its first passage to or past ``level[i]``, down
-    to a level below 0 and up to one above, or at ``horizon[i]`` (a scalar
-    serves all).  Every jump is down, so only a level below 0 can be jumped
-    past; a passage up is a creep.  Returns per-path arrays (tau, x,
-    crossing): tau is NaN and crossing "none" when the horizon comes first,
-    and x is then the position there; a creep records x = level exactly, a
-    jump its landing point, and with level -inf x samples X at the horizon.
-    ``purposes`` are the counter purposes of the normal, crossing and jump
-    draws, so two runs over the same paths use independent numbers.
+    Path ``ids[i]`` drifts at ``drift[i]`` (by default m.mu) and stops at its
+    first passage to or past ``level[i]``, down to a level below 0 and up to
+    one above, or at ``horizon[i]``; a scalar serves all paths.  Every jump
+    is down, so only a level below 0 can be jumped past; a passage up is a
+    creep.  Returns per-path arrays (tau, x, crossing): tau is NaN and
+    crossing "none" when the horizon comes first, and x is then the position
+    there; a creep records x = level exactly, a jump its landing point, and
+    with level -inf x samples X at the horizon.  Path i's normal, crossing
+    and jump draws take counter purposes purpose[i] + (0, 1, 2), so two runs
+    over the same paths on different purposes use independent numbers.
     """
     jumps = m.lam > 0.0
-    drawn = list(purposes[: 3 if jumps else 2])
+    draws = _DRAWS[: 3 if jumps else 2]
     sig = math.sqrt(m.sigma2)
     n = ids.size
-    horizon = np.broadcast_to(horizon, ids.shape)
+    level, horizon, drift = (np.full(n, v) for v in (level, horizon, m.mu if drift is None else drift))
+    purpose = np.full(n, purpose, dtype=np.uint64)
     tau = np.full(n, np.nan)
     x_stop = np.zeros(n)
     kind = np.zeros(n, dtype=np.int8)  # indexes _KINDS
@@ -270,8 +271,8 @@ def _simulate(
         while pos.size:
             k = pos.size
             e = max(1, min(grow, _CAP // k)) if jumps else 1
-            ua, ub = _uniforms(seed, drawn, event, e, ids[pos])
-            lv, hz = level[pos][:, None], horizon[pos][:, None]
+            ua, ub = _uniforms(seed, purpose[pos] + draws, event, e, ids[pos])
+            lv, hz, mu = level[pos][:, None], horizon[pos][:, None], drift[pos][:, None]
             radius = np.sqrt(-2.0 * np.log(ua[0]))
             angle = (2.0 * math.pi) * ub[0]
             normal = radius * np.cos(angle)
@@ -289,13 +290,13 @@ def _simulate(
                 seg = np.where(alive, np.minimum(gap, left), np.nan)
                 walk = np.empty((k, 2 * e + 1))
                 walk[:, 0] = x
-                walk[:, 1::2] = m.mu * seg + sig * np.sqrt(seg) * normal
+                walk[:, 1::2] = mu * seg + sig * np.sqrt(seg) * normal
                 walk[:, 2::2] = np.log(ub[2]) / m.rho  # the (negative) jumps
                 walk = np.cumsum(walk, axis=1)
                 x0, x1, xj = walk[:, :-1:2], walk[:, 1::2], walk[:, 2::2]
             else:  # one segment per path, to its horizon
                 t0, x0, seg = t[:, None], x[:, None], hz - t[:, None]
-                x1 = x0 + (m.mu * seg + sig * np.sqrt(seg) * normal)
+                x1 = x0 + (mu * seg + sig * np.sqrt(seg) * normal)
 
             # First passage: a creep inside a segment, else a jump below.
             # d1, d2 are distances to the level, positive on the start side.
@@ -315,16 +316,14 @@ def _simulate(
                 lost = np.flatnonzero(~stops & reached)
             else:
                 stops = crept = creep[:, 0]
-                ks = np.zeros(k, dtype=np.intp)
                 lost = np.flatnonzero(~stops)
             cr = np.flatnonzero(crept)
             if cr.size:
-                kc = ks[cr]
+                at = (cr, ks[cr]) if jumps else (cr, 0)  # each creeping path's segment
                 s = _crossing_time(
-                    d1[cr, kc], d2[cr, kc], seg[cr, kc],
-                    radius[cr, kc] * np.sin(angle[cr, kc]), ub[1][cr, kc], m.sigma2,
+                    d1[at], d2[at], seg[at], radius[at] * np.sin(angle[at]), ub[1][at], m.sigma2
                 )
-                tau[pos[cr]] = t0[cr, kc] + s
+                tau[pos[cr]] = t0[at] + s
                 x_stop[pos[cr]] = lv[cr, 0]
                 kind[pos[cr]] = 1
             if lost.size:
@@ -340,19 +339,19 @@ def _simulate(
 
 
 def _run_paths(
-    m: ModelParams, level, horizon, cfg: McConfig, ids: np.ndarray,
-    purposes: tuple[int, int, int],
+    m: ModelParams, level, horizon, cfg: McConfig, ids: np.ndarray, purpose, drift,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_simulate`` of paths ``ids`` to ``level`` and ``horizon`` (each one, or
-    one per path), in process or one pool worker per chunk of ``cfg.workers``."""
-    level, horizon = (np.broadcast_to(np.asarray(v, dtype=float), ids.shape) for v in (level, horizon))
+    """``_simulate`` of paths ``ids`` (its per-path arguments each one, or one
+    per path), in process or one pool worker per chunk of ``cfg.workers``."""
     step = max(1, -(-ids.size // cfg.workers))
+    if step >= ids.size:
+        return _simulate(m, level, horizon, int(cfg.seed), ids, purpose, drift)
+    level, horizon, purpose, drift = (np.full(ids.size, v) for v in (level, horizon, purpose, drift))
     chunks = [
-        (m, level[i : i + step], horizon[i : i + step], int(cfg.seed), ids[i : i + step], purposes)
+        (m, level[i : i + step], horizon[i : i + step], int(cfg.seed), ids[i : i + step],
+         purpose[i : i + step], drift[i : i + step])
         for i in range(0, ids.size, step)
     ]
-    if len(chunks) <= 1:
-        return _simulate(m, level, horizon, int(cfg.seed), ids, purposes)
     # Imported here, so that a one-worker run does not load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
@@ -421,9 +420,13 @@ def simulate_stop_and_terminal(
     c, t, cfg)`` in one kernel pass, either None where its ``a`` or ``t`` is.
     The terminal paths are the stop paths' ids again, on the same counters,
     with level -inf and horizon ``t``, so each result is bit for bit what its
-    own call gives."""
+    own call gives.  Without jumps every stop is a creep onto log(a/s0), so
+    direct mode's return, from there to log(h/s0) under the tilt, joins the
+    same pass (each path's weight kept only where it stopped); with jumps it
+    is a second pass over the stopped paths."""
     n = cfg.n_paths
-    levels, horizons = [], []
+    direct = a is not None and cfg.mode is McMode.DIRECT_LAST_PASSAGE
+    groups = []  # (level, horizon, drift, first counter purpose) of each run of n paths
     if a is not None:
         if not (0.0 < a < min(c.strike, c.spot)):
             raise ConfigError(
@@ -435,33 +438,36 @@ def simulate_stop_and_terminal(
                 f"horizon {cfg.horizon} too short: need >= 10/r = {10.0 / m.r:g} "
                 "so the truncation tail is negligible"
             )
-        levels.append(math.log(a / c.spot))
-        horizons.append(cfg.horizon)
+        groups.append((math.log(a / c.spot), cfg.horizon, m.mu, _STOP))
+    if t is not None and not (t > 0.0):
+        raise ConfigError(f"sampling time must be positive, got t={t}")
+    if direct:
+        theta, psi, tilted = _tilt(m)
+        cut_off = math.log(_RETURN_BIAS) / psi
+        fused = m.lam == 0.0
+        if fused:
+            groups.append((math.log(c.barrier / c.spot) - groups[0][0], cut_off, tilted.mu, _RETURN))
     if t is not None:
-        if not (t > 0.0):
-            raise ConfigError(f"sampling time must be positive, got t={t}")
-        levels.append(-math.inf)
-        horizons.append(t)
-    ids = np.arange(n, dtype=np.uint64)
-    if len(levels) > 1:  # one group broadcasts; two are spelled out per path
-        levels, horizons, ids = np.repeat(levels, n), np.repeat(horizons, n), np.tile(ids, 2)
-    tau, x, crossing = _run_paths(m, levels, horizons, cfg, ids, _STOP)
+        groups.append((-math.inf, t, m.mu, _STOP))
+    level, horizon, drift, purpose = np.repeat(groups, n, axis=0).T
+    ids = np.concatenate([np.arange(n, dtype=np.uint64)] * len(groups))
+    tau, x, crossing = _run_paths(m, level, horizon, cfg, ids, purpose, drift)
     terminal = None if t is None else McEstimate.from_sample(math.exp(-m.r * t) * c.spot * np.exp(x[-n:]))
     if a is None:
         return None, terminal
 
-    tau, x, crossing = tau[:n], x[:n], crossing[:n]
+    stopped = crossing[:n] != "none"
     returned = None
-    if cfg.mode is McMode.DIRECT_LAST_PASSAGE:
-        theta, psi, tilted = _tilt(m)
-        stopped = np.flatnonzero(crossing != "none")
-        rise = math.log(c.barrier / c.spot) - x[stopped]
-        back, _x, _kind = _run_paths(
-            tilted, rise, math.log(_RETURN_BIAS) / psi, cfg, ids[stopped], _RETURN
-        )
+    if direct:
+        rise = math.log(c.barrier / c.spot) - x[:n][stopped]
+        if fused:
+            back = tau[n : 2 * n][stopped]
+        else:
+            back = _run_paths(tilted, rise, cut_off, cfg, ids[:n][stopped], _RETURN, tilted.mu)[0]
         returned = np.zeros(n)
-        returned[stopped] = np.exp(-theta * rise + psi * np.nan_to_num(back, nan=math.inf))
+        returned[stopped] = np.exp(-theta * rise + psi * np.where(np.isnan(back), math.inf, back))
+    tau, x, crossing = tau[:n], x[:n], crossing[:n]
     discount = np.exp(-m.r * np.where(np.isnan(tau), math.inf, tau))
     s_tau = np.where(crossing == "creep", a, c.spot * np.exp(x))
-    s_tau = np.where(crossing == "none", np.nan, s_tau)
+    s_tau = np.where(stopped, s_tau, np.nan)
     return PolicyPaths(tau, discount, s_tau, x, crossing, returned, cfg.horizon), terminal

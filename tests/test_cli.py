@@ -920,7 +920,35 @@ def test_simulate_csv_is_the_same_in_small_blocks(tmp_path, capsys, monkeypatch)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# validate --suite mc's stdout by sha256, on 300 paths at seed 1: the table
+# holds every estimate to four decimals and every band to four digits.
+PINNED_MC_SUITE = {
+    "diffusion": (BASE, "ffcaa7266bff604c2df2210d2489417c4e873ba2efe16f48d3aab2632d718675"),
+    "jumps": (JUMPS, "d8326bb4666a425b8cf26e1f87a73276ff85d073be1d5ec77c9dd05fccd6e2b4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MC_SUITE))
+def test_mc_suite_table_is_pinned(case, capsys):
+    flags, digest = PINNED_MC_SUITE[case]
+    code, out = run_cli(["validate", "--suite", "mc", "--paths", "300", "--seed", "1", *flags], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ------------------------------------------------------------- entry point
+
+
+def test_unexpected_exception_exit_4_with_traceback(capsys, monkeypatch):
+    # Exit 1 is a FAILed check; a fault of the program exits 4 and shows where.
+    def broken(*args):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(cli, "price", broken)
+    assert main(["price", *BASE]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: broken on purpose" in err
 
 
 def test_consecutive_calls_share_no_state(tmp_path, capsys):

@@ -296,14 +296,18 @@ def test_mc_suite_rows_equal_those_of_separate_runs(model, workers, request, con
             assert diagnostics.mc_suite(m, contract, cfg) == rows
 
 
-@pytest.mark.parametrize("model", ["model_nojump", "model_jumps"])
-def test_mc_suite_makes_two_kernel_passes(model, request, contract, monkeypatch):
-    # The stop and terminal paths in one pass, the direct mode's return in the other.
+@pytest.mark.parametrize(
+    "model, passes", [("model_nojump", 1), ("model_jumps", 2)], ids=["model_nojump", "model_jumps"]
+)
+def test_mc_suite_kernel_passes(model, passes, request, contract, monkeypatch):
+    # The stop and terminal paths in one pass and, without jumps, direct
+    # mode's return too, since every stop creeps onto the threshold; with
+    # jumps the return starts where each path landed, in a second pass.
     calls = []
     run_paths = mc._run_paths
     monkeypatch.setattr(mc, "_run_paths", lambda *args: calls.append(args) or run_paths(*args))
     diagnostics.mc_suite(request.getfixturevalue(model), contract, McConfig(400, 200.0, 1))
-    assert len(calls) == 2
+    assert len(calls) == passes
 
 
 def test_mode_agreement_band_survives_a_payoff_below_1e_154():

@@ -350,6 +350,19 @@ def test_pool_never_exceeds_the_chunk_count(model_jumps, contract, recording_poo
     assert _same_paths(many, simulate_paths(model_jumps, contract, A_STAR_JUMPS, cfg))
 
 
+def test_fused_diffusion_pass_is_the_same_in_chunks(model_nojump, contract, recording_pool):
+    # Without jumps the stop, return and terminal paths share one pass of 300;
+    # 7 chunks of up to 43 cut across those groups, and each slice keeps its
+    # paths' levels, horizons, drifts and counter purposes.
+    cfg = _cfg(n_paths=100, seed=23, mode=McMode.DIRECT_LAST_PASSAGE)
+    one = mc.simulate_stop_and_terminal(model_nojump, contract, A_STAR_NOJUMP, 1.0, cfg)
+    many = mc.simulate_stop_and_terminal(
+        model_nojump, contract, A_STAR_NOJUMP, 1.0, dataclasses.replace(cfg, workers=7)
+    )
+    assert recording_pool == [7]
+    assert _same_paths(many[0], one[0]) and many[1] == one[1]
+
+
 def test_traces_bit_identical_across_workers(model_jumps, contract):
     for mode in McMode:
         cfg = _cfg(n_paths=200, seed=17, mode=mode)
@@ -435,10 +448,13 @@ def test_direct_weights_are_bounded_likelihood_ratios(which, a, request, contrac
     assert stopped.any() and (m.lam > 0.0 or not stopped.all())
 
 
-def test_single_path_replays_both_phases(model_jumps, contract):
-    # The return is a second kernel run over the stopped paths, on its own
-    # counter purposes, so each path's return also replays alone.
-    m, a = model_jumps, A_STAR_JUMPS
+@pytest.mark.parametrize("which", ["model_nojump", "model_jumps"])
+def test_single_path_replays_both_phases(which, request, contract):
+    # The return runs on its own counter purposes, in the stop's pass without
+    # jumps and in a second pass over the stopped paths with them; either
+    # way each path's return replays alone, under the tilted law.
+    m = request.getfixturevalue(which)
+    a = A_STAR_JUMPS if m.lam > 0.0 else A_STAR_NOJUMP
     cfg = _cfg(n_paths=100, seed=4, mode=McMode.DIRECT_LAST_PASSAGE)
     batch = simulate_paths(m, contract, a, cfg)
     theta, psi, tilted = mc._tilt(m)
@@ -446,12 +462,15 @@ def test_single_path_replays_both_phases(model_jumps, contract):
     for i in range(cfg.n_paths):
         tau, x, crossing = _replay(m, contract, a, cfg, i)
         assert np.array_equal(tau, batch.tau[i : i + 1], equal_nan=True)
+        if crossing[0] == "none":
+            assert batch.returned[i] == 0.0
+            continue
         rise = math.log(contract.barrier / contract.spot) - x
         back, _x, _kind = mc._simulate(
             tilted, rise, cut_off, cfg.seed, np.array([i], dtype=np.uint64), mc._RETURN
         )
         weight = np.exp(-theta * rise + psi * np.nan_to_num(back, nan=math.inf))
-        assert weight[0] == batch.returned[i]
+        assert weight[0] == batch.returned[i] > 0.0
 
 
 MODELS_FOR_THE_TILT = [
